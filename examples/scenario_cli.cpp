@@ -5,12 +5,14 @@
 //
 // Deploys the chosen protocol over the simulator, runs a closed-loop
 // workload, injects the requested faults, and reports completion, message
-// cost, latency, and the linearizability verdict.
+// cost, latency, and the linearizability verdict. Bad flags or values print
+// usage and exit 2.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 
 #include "abdkit/checker/linearizability.hpp"
 #include "abdkit/checker/register_checks.hpp"
@@ -40,16 +42,27 @@ struct Args {
 void usage() {
   std::printf(
       "usage: scenario_cli [options]\n"
-      "  --n N            processes (default 5)\n"
+      "  --n N            processes, at least 1 (default 5)\n"
       "  --variant V      swmr | mwmr | regular | bounded (default swmr)\n"
-      "  --writers W      writing processes, mwmr only (default 1)\n"
+      "  --writers W      writing processes, mwmr only, at most N (default 1)\n"
       "  --ops K          ops per participating process (default 25)\n"
       "  --crash C        replicas crashed at t=0 (default 0)\n"
-      "  --loss P         message loss probability; enables retransmission\n"
-      "  --read-frac F    read fraction for reader-writers (default 0.6)\n"
+      "  --loss P         message loss probability in [0, 1]; enables retransmission\n"
+      "  --read-frac F    read fraction in [0, 1] for reader-writers (default 0.6)\n"
       "  --seed S         rng seed (default 1)\n"
       "  --metrics        print client metrics (phase/op timers, counters) as JSON\n");
 }
+
+/// Parses all of `text` as a number: no sign on unsigned types, no leading
+/// blanks, no trailing characters, no overflow.
+template <typename T>
+bool parse_number(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+bool is_probability(double p) { return p >= 0.0 && p <= 1.0; }  // false for NaN
 
 bool parse(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
@@ -70,24 +83,30 @@ bool parse(int argc, char** argv, Args& args) {
       std::fprintf(stderr, "missing value for %s\n", flag.c_str());
       return false;
     }
+    bool valid = true;
     if (flag == "--n") {
-      args.n = static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
+      valid = parse_number(value, args.n) && args.n >= 1;
     } else if (flag == "--variant") {
       args.variant = value;
     } else if (flag == "--writers") {
-      args.writers = static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
+      valid = parse_number(value, args.writers);
     } else if (flag == "--ops") {
-      args.ops = static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
+      valid = parse_number(value, args.ops);
     } else if (flag == "--crash") {
-      args.crash = static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
+      valid = parse_number(value, args.crash);
     } else if (flag == "--loss") {
-      args.loss = std::strtod(value, nullptr);
+      valid = parse_number(value, args.loss) && is_probability(args.loss);
     } else if (flag == "--read-frac") {
-      args.read_fraction = std::strtod(value, nullptr);
+      valid = parse_number(value, args.read_fraction) &&
+              is_probability(args.read_fraction);
     } else if (flag == "--seed") {
-      args.seed = std::strtoull(value, nullptr, 10);
+      valid = parse_number(value, args.seed);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
+      return false;
+    }
+    if (!valid) {
+      std::fprintf(stderr, "bad value for %s: '%s'\n", flag.c_str(), value);
       return false;
     }
   }
@@ -129,6 +148,11 @@ int main(int argc, char** argv) {
   const harness::Variant variant = options.variant;
   const bool swmr_family = variant != harness::Variant::kAtomicMwmr;
   const std::size_t writers = swmr_family ? 1 : std::max<std::size_t>(1, args.writers);
+  if (writers > args.n) {
+    std::fprintf(stderr, "--writers %zu exceeds --n %zu\n", writers, args.n);
+    usage();
+    return 2;
+  }
 
   harness::SimDeployment d{std::move(options)};
   for (std::size_t i = 0; i < args.crash && i + 1 < args.n; ++i) {

@@ -21,8 +21,10 @@
 //     can never misdispatch onto a recycled one; remove() additionally
 //     defers slot reuse to the end of the dispatch batch.
 //   * Timers live in the reactor's TimerWheel; the epoll timeout comes from
-//     TimerWheel::next_due() (conservative-early, so deadlines are never
-//     slept past).
+//     TimerWheel::next_due(), which reads the earliest armed deadline from
+//     the wheel's slots (never later than it, so deadlines are never slept
+//     past). Cancelled timers leave the wheel at once, so this per-cycle
+//     read costs the timers still armed, not the ones recently cancelled.
 //   * post() is the only cross-thread entry: an MPSC queue (mutex +
 //     eventfd wakeup) drained at the top of every cycle. Everything else is
 //     loop-thread-only by construction.

@@ -1,24 +1,23 @@
 // Hierarchical timer wheel — the reactor's deadline structure.
 //
-// The old transport kept timers in a binary heap with a tombstone map and
-// re-derived the poll timeout by scanning the heap top plus every peer in
-// backoff each cycle. Under pipelined load the heap sees one add + one
-// cancel per quorum phase (the retransmit timer), so the O(log n) pushes
-// and the tombstone sweep sit on the hot path. The wheel makes both O(1):
+// Under pipelined load every quorum phase arms a retransmit timer and
+// cancels it when the quorum answers, so add() and cancel() sit on the hot
+// path and almost no timer ever fires. The wheel keeps both O(1) and keeps
+// each cycle's timer work proportional to the timers still armed:
 //
 //   * 4 levels x 256 slots, 1 ms tick. Level 0 spans 256 ms, level 1
 //     ~65 s, level 2 ~4.6 h, level 3 ~49 days; deadlines beyond the top
 //     level clamp into its last-reachable slot and simply cascade again.
-//   * add() drops the entry into the innermost level that can represent
-//     its deadline; cancel() erases the callback map entry and leaves a
-//     tombstone in the slot (exactly the old heap's cancel semantics:
-//     bookkeeping shrinks immediately, the slot entry dies lazily).
+//   * Each slot holds (due, id) entries; each armed timer's record knows
+//     its entry's (level, slot, index). add() appends to the innermost
+//     level that can represent the deadline; cancel() swap-removes the
+//     entry at once, so a slot only ever holds armed timers.
 //   * advance(now) walks whole ticks, firing level-0 slots and cascading
 //     outer-level slots inward when a level wraps. Entries in one tick
-//     fire in (due, id) order, matching the heap's deterministic order.
-//   * next_due() gives the earliest possible deadline for the epoll
-//     timeout; it may be conservatively early (slot granularity), never
-//     late.
+//     fire in (due, id) order, matching the old heap's deterministic order.
+//     Each entry leaves its slot before its callback runs.
+//   * next_due() reads the earliest deadline for the epoll timeout straight
+//     from the slots' entries; it is never later than a pending deadline.
 //
 // Single-threaded: owned and touched only by its reactor's loop thread.
 #pragma once
@@ -54,10 +53,9 @@ class TimerWheel {
   /// tick. Callbacks may add or cancel timers freely.
   void advance(TimePoint now);
 
-  /// Earliest instant any pending timer could fire, or TimePoint::max()
-  /// when none are armed. May be earlier than the true deadline (slot
-  /// granularity) — callers sleep until it and re-advance; it is never
-  /// later than a pending deadline still in the wheel.
+  /// Earliest deadline of any pending timer, or TimePoint::max() when none
+  /// are armed. Callers sleep until it and re-advance; it is never later
+  /// than a pending deadline.
   [[nodiscard]] TimePoint next_due() const;
 
   [[nodiscard]] std::size_t pending() const noexcept { return live_.size(); }
@@ -67,21 +65,32 @@ class TimerWheel {
   [[nodiscard]] std::uint64_t cascades() const noexcept { return cascades_; }
 
  private:
-  struct Slot {
-    std::vector<TimerId> ids;
-  };
-
-  struct Live {
+  struct Entry {
     TimePoint due{};
+    TimerId id{0};
+    /// (due, id): the fire order.
+    friend bool operator<(const Entry& a, const Entry& b) noexcept {
+      return a.due != b.due ? a.due < b.due : a.id < b.id;
+    }
+  };
+  using Slot = std::vector<Entry>;
+
+  /// An armed timer: its callback and where its entry sits.
+  struct Live {
     Callback cb;
+    std::size_t level{0};
+    std::size_t slot{0};
+    std::size_t index{0};
   };
 
   [[nodiscard]] static std::uint64_t tick_of(TimePoint t) noexcept {
     return static_cast<std::uint64_t>(t.count()) / kTickNs;
   }
-  /// Place `id` (due at `due_tick`) into the innermost level that can still
-  /// reach it from current_tick_.
-  void place(TimerId id, std::uint64_t due_tick);
+  /// Append `entry` to the innermost level that can still reach its
+  /// deadline from current_tick_, and record the position in `live`.
+  void place(Live& live, Entry entry);
+  /// Swap-remove `live`'s entry from its slot.
+  void unlink(const Live& live);
   /// Re-place every entry of an outer-level slot one level inward.
   void cascade(std::size_t level, std::size_t slot_index);
 
@@ -89,9 +98,9 @@ class TimerWheel {
       std::vector<Slot>(kSlots), std::vector<Slot>(kSlots),
       std::vector<Slot>(kSlots), std::vector<Slot>(kSlots)};
   std::unordered_map<TimerId, Live> live_;
-  /// Entries (including cancel tombstones) resident per level; lets
-  /// advance() stride over regions where inner levels are empty instead of
-  /// walking every 1 ms tick of a long idle gap.
+  /// Entries resident per level; lets advance() stride over regions where
+  /// inner levels are empty instead of walking every 1 ms tick of a long
+  /// idle gap.
   std::uint64_t level_count_[kLevels]{};
   std::uint64_t current_tick_{0};
   bool started_{false};  ///< current_tick_ is meaningful only after first use

@@ -17,22 +17,24 @@ constexpr std::uint64_t kHorizonTicks =
 
 TimerId TimerWheel::add(TimePoint due, Callback cb) {
   const TimerId id = next_id_++;
-  live_.emplace(id, Live{due, std::move(cb)});
-  place(id, tick_of(due));
+  Live& live = live_.emplace(id, Live{std::move(cb)}).first->second;
+  place(live, Entry{due, id});
   return id;
 }
 
 bool TimerWheel::cancel(TimerId id) {
-  // The slot entry becomes a tombstone dropped when its slot is next fired
-  // or cascaded; the live map shrinks immediately, so bookkeeping stays
-  // bounded by armed timers (the old heap's cancel semantics).
-  return live_.erase(id) > 0;
+  const auto it = live_.find(id);
+  if (it == live_.end()) return false;
+  unlink(it->second);
+  live_.erase(it);
+  return true;
 }
 
-void TimerWheel::place(TimerId id, std::uint64_t due_tick) {
+void TimerWheel::place(Live& live, Entry entry) {
   // Past-due entries land in the current tick's level-0 slot and fire on the
   // next advance; far-future entries clamp to the outermost horizon and
-  // cascade again (their true deadline lives in the live map).
+  // cascade again (the entry keeps its true deadline).
+  const std::uint64_t due_tick = tick_of(entry.due);
   std::uint64_t target = due_tick <= current_tick_ ? current_tick_ : due_tick;
   if (target - current_tick_ >= kHorizonTicks) {
     target = current_tick_ + kHorizonTicks - 1;
@@ -40,24 +42,32 @@ void TimerWheel::place(TimerId id, std::uint64_t due_tick) {
   const std::uint64_t delta = target - current_tick_;
   for (std::size_t level = 0; level < kLevels; ++level) {
     if (delta < (1ull << ((level + 1) * kSlotBits))) {
-      const std::uint64_t slot = (target >> (level * kSlotBits)) & kSlotMask;
-      levels_[level][slot].ids.push_back(id);
+      live.level = level;
+      live.slot = (target >> (level * kSlotBits)) & kSlotMask;
+      Slot& slot = levels_[level][live.slot];
+      live.index = slot.size();
+      slot.push_back(entry);
       ++level_count_[level];
       return;
     }
   }
 }
 
-void TimerWheel::cascade(std::size_t level, std::size_t slot_index) {
-  std::vector<TimerId> ids = std::move(levels_[level][slot_index].ids);
-  levels_[level][slot_index].ids.clear();
-  level_count_[level] -= ids.size();
-  for (const TimerId id : ids) {
-    const auto it = live_.find(id);
-    if (it == live_.end()) continue;  // cancelled: tombstone dropped here
-    ++cascades_;
-    place(id, tick_of(it->second.due));
+void TimerWheel::unlink(const Live& live) {
+  Slot& slot = levels_[live.level][live.slot];
+  if (live.index + 1 != slot.size()) {
+    slot[live.index] = slot.back();
+    live_.at(slot[live.index].id).index = live.index;
   }
+  slot.pop_back();
+  --level_count_[live.level];
+}
+
+void TimerWheel::cascade(std::size_t level, std::size_t slot_index) {
+  const Slot entries = std::exchange(levels_[level][slot_index], Slot{});
+  level_count_[level] -= entries.size();
+  cascades_ += entries.size();
+  for (const Entry& entry : entries) place(live_.at(entry.id), entry);
 }
 
 void TimerWheel::advance(TimePoint now) {
@@ -70,16 +80,15 @@ void TimerWheel::advance(TimePoint now) {
   }
   for (;;) {
     if (live_.empty()) {
-      // Nothing can fire or cascade; jump. Stale tombstones left in slots
-      // are dropped whenever their slot is next visited (ids never reuse).
+      // Nothing can fire or cascade; jump.
       current_tick_ = std::max(current_tick_, now_tick);
       return;
     }
 
-    // Stride over empty regions: when the inner levels hold nothing (not
-    // even tombstones), no tick before the next outer-level cascade
-    // boundary can fire, so jump straight to that boundary instead of
-    // walking every 1 ms tick of the gap.
+    // Stride over empty regions: when the inner levels hold nothing, no
+    // tick before the next outer-level cascade boundary can fire, so jump
+    // straight to that boundary instead of walking every 1 ms tick of the
+    // gap.
     std::uint64_t span = 0;
     if (level_count_[0] == 0) {
       span = 1ull << kSlotBits;
@@ -94,29 +103,23 @@ void TimerWheel::advance(TimePoint now) {
     }
 
     // Fire the current tick's level-0 slot: everything due at or before
-    // `now` goes, in (due, id) order; sub-tick-future entries stay. Loop
+    // `now` goes, in (due, id) order; sub-tick-future entries stay. Each
+    // entry leaves the slot just before its callback runs, so a callback
+    // may cancel a sibling of the same batch (it then never fires). Loop
     // because a callback may arm a new timer that is already due.
-    Slot& slot = levels_[0][current_tick_ & kSlotMask];
+    const Slot& slot = levels_[0][current_tick_ & kSlotMask];
     for (;;) {
-      std::vector<TimerId> keep;
-      std::vector<std::pair<std::int64_t, TimerId>> fire;
-      for (const TimerId id : slot.ids) {
-        const auto it = live_.find(id);
-        if (it == live_.end()) continue;  // cancelled
-        if (it->second.due <= now) {
-          fire.emplace_back(it->second.due.count(), id);
-        } else {
-          keep.push_back(id);
-        }
+      std::vector<Entry> fire;
+      for (const Entry& entry : slot) {
+        if (entry.due <= now) fire.push_back(entry);
       }
-      level_count_[0] -= slot.ids.size() - keep.size();
-      slot.ids = std::move(keep);
       if (fire.empty()) break;
       std::sort(fire.begin(), fire.end());
-      for (const auto& [due_ns, id] : fire) {
-        const auto it = live_.find(id);
+      for (const Entry& entry : fire) {
+        const auto it = live_.find(entry.id);
         if (it == live_.end()) continue;  // cancelled by an earlier callback
         Callback cb = std::move(it->second.cb);
+        unlink(it->second);
         live_.erase(it);
         cb();
       }
@@ -139,26 +142,23 @@ void TimerWheel::advance(TimePoint now) {
 }
 
 TimePoint TimerWheel::next_due() const {
-  if (live_.empty()) return TimePoint::max();
-  // Per level, the first slot (in tick order from the level's current
-  // position) holding a live entry contains that level's earliest deadlines;
-  // outer levels can hold deadlines that precede inner-level ones (an entry
-  // cascades inward only when its level wraps), so take the min across all
-  // levels rather than stopping at the innermost hit.
+  // Per level, the first non-empty slot (in tick order from the level's
+  // current position) holds that level's earliest deadlines; outer levels
+  // can hold deadlines that precede inner-level ones (an entry cascades
+  // inward only when its level wraps), so take the min across all levels
+  // rather than stopping at the innermost hit. An outer level's slot at its
+  // current position was emptied by the cascade that entered it, so what
+  // it holds now is a full lap ahead: scan it last.
   TimePoint best = TimePoint::max();
   for (std::size_t level = 0; level < kLevels; ++level) {
-    const std::uint64_t base = current_tick_ >> (level * kSlotBits);
+    if (level_count_[level] == 0) continue;
+    const std::uint64_t base =
+        (current_tick_ >> (level * kSlotBits)) + (level == 0 ? 0 : 1);
     for (std::uint64_t i = 0; i < kSlots; ++i) {
       const Slot& slot = levels_[level][(base + i) & kSlotMask];
-      TimePoint slot_min = TimePoint::max();
-      for (const TimerId id : slot.ids) {
-        const auto it = live_.find(id);
-        if (it != live_.end() && it->second.due < slot_min) slot_min = it->second.due;
-      }
-      if (slot_min != TimePoint::max()) {
-        best = std::min(best, slot_min);
-        break;  // later slots of this level only hold later deadlines
-      }
+      if (slot.empty()) continue;
+      for (const Entry& entry : slot) best = std::min(best, entry.due);
+      break;  // later slots of this level only hold later deadlines
     }
   }
   return best;

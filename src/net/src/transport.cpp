@@ -428,8 +428,7 @@ TimerId Transport::set_timer(Duration delay, TimerCallback cb) {
 }
 
 void Transport::cancel_timer(TimerId id) {
-  // Wheel-slot entries tombstone lazily; the live bookkeeping shrinks
-  // immediately (same contract as the old heap + live-map pair).
+  // The wheel drops the timer at once; a fired or unknown id is a no-op.
   if (home().reactor->timers().cancel(id)) {
     observe(ClusterEvent::Kind::kTimerCancel, options_.self, options_.self, nullptr, id);
   }

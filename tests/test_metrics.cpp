@@ -140,7 +140,11 @@ TEST(LatencyHistogram, RegistryHandlesAreStableAcrossInserts) {
   LatencyHistogram& first = m.histogram("z.op_us");
   first.record_us(3);
   // Inserting more names must not invalidate the earlier handle.
-  for (int i = 0; i < 32; ++i) m.histogram("h" + std::to_string(i)).record_us(1);
+  for (int i = 0; i < 32; ++i) {
+    std::string name = "h";
+    name += std::to_string(i);
+    m.histogram(name).record_us(1);
+  }
   first.record_us(4);
   EXPECT_EQ(m.histogram("z.op_us").count(), 2U);
   EXPECT_EQ(m.histogram_names().size(), 33U);

@@ -57,8 +57,11 @@ std::vector<std::tuple<std::size_t, std::size_t>> threshold_cases() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CrashThreshold, ::testing::ValuesIn(threshold_cases()),
                          [](const auto& param_info) {
-                           return "n" + std::to_string(std::get<0>(param_info.param)) + "_f" +
-                                  std::to_string(std::get<1>(param_info.param));
+                           std::string name = "n";
+                           name += std::to_string(std::get<0>(param_info.param));
+                           name += "_f";
+                           name += std::to_string(std::get<1>(param_info.param));
+                           return name;
                          });
 
 TEST(Resilience, MinoritySideOfPartitionStalls) {

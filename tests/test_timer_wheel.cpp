@@ -4,19 +4,21 @@
 //   1. Fire order within an advance is (due, id) — identical to the old
 //      binary heap, so retransmission order (and thus wire traces) cannot
 //      change across the rewrite.
-//   2. cancel() has tombstone semantics: a cancelled timer never fires and
-//      live bookkeeping shrinks immediately, even while the slot entry dies
-//      lazily.
+//   2. cancel() is eager: a cancelled timer never fires, and its entry
+//      leaves its slot at once, so pending() and the slots hold armed
+//      timers only.
 //   3. Far-future deadlines (beyond the 256-ms level-0 span, and beyond the
 //      whole multi-level horizon) still fire exactly once at the right
 //      instant, via cascading.
-//   4. next_due() is conservative-early: never later than any pending
-//      deadline, and TimePoint::max() iff empty — it drives the epoll
-//      timeout, so "late" would stall retransmissions.
+//   4. next_due() is the earliest pending deadline, and TimePoint::max()
+//      iff empty — it drives the epoll timeout, so "late" would stall
+//      retransmissions.
 //   5. Callbacks may re-arm and cancel reentrantly (the retransmit pattern).
 //
-// The cascade test checks the wheel against a naive sorted-multimap
-// reference across randomized workloads spanning all four levels.
+// The cascade test checks the wheel against a naive sorted-set reference
+// across randomized workloads spanning all four levels, and across a
+// retransmit-shaped workload: thousands of timers armed 100 ms out, nearly
+// all cancelled within a tick or two.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,8 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "abdkit/net/timer_wheel.hpp"
@@ -160,6 +164,17 @@ TEST(TimerWheel, NextDueNeverLaterThanAnyPendingDeadline) {
   }
 }
 
+TEST(TimerWheel, NextDueLooksPastAnOuterSlotOneLapAhead) {
+  // At 511 ms the level-1 slot under the current position has already
+  // cascaded; a timer 65.535 s out lands back in it, one lap ahead. An
+  // earlier level-1 timer in a later slot must still be the one reported.
+  TimerWheel wheel;
+  wheel.advance(TimePoint{milliseconds{511}});
+  wheel.add(TimePoint{milliseconds{511 + 65'535}}, [] {});
+  wheel.add(TimePoint{milliseconds{1'511}}, [] {});
+  EXPECT_EQ(wheel.next_due(), TimePoint{milliseconds{1'511}});
+}
+
 TEST(TimerWheel, ReentrantCallbacksCanRearmAndCancel) {
   TimerWheel wheel;
   wheel.advance(at(0));
@@ -195,23 +210,87 @@ TEST(TimerWheel, ReentrantCallbacksCanRearmAndCancel) {
   EXPECT_EQ(wheel.pending(), 0u);
 }
 
-// Randomized differential test against a naive reference: a sorted multimap
-// fired with the same (due, id) tie-break. Workloads span all four levels so
-// every cascade path is exercised; advances use irregular steps so level
-// boundaries are crossed mid-slot and in bulk.
+// A wheel driven in lockstep with a naive reference: a sorted set fired with
+// the same (due, id) tie-break. Both sides fire in (due, id) order with
+// monotone ids assigned in the same insertion order, so comparing the fired
+// (due, id) sequences checks order, timing, and exactly-once delivery at
+// once.
+class Lockstep {
+ public:
+  using Key = std::pair<std::int64_t, TimerId>;  // (due ns, id)
+
+  Lockstep() { wheel_.advance(at(0)); }
+  Lockstep(const Lockstep&) = delete;
+  Lockstep& operator=(const Lockstep&) = delete;
+
+  /// Arm a strictly-future timer on both sides.
+  Key add(TimePoint due) {
+    // The wheel hands out the id before the callback can fire (the due is
+    // strictly future), so capturing through a stable box is safe.
+    auto id_box = std::make_shared<TimerId>(0);
+    *id_box = wheel_.add(due, [this, due, id_box] {
+      wheel_fired_.emplace_back(due.count(), *id_box);
+    });
+    const Key key{due.count(), *id_box};
+    ref_.insert(key);
+    return key;
+  }
+
+  /// Cancel on both sides; both must agree the timer was still pending.
+  bool cancel(Key key) {
+    const bool pending = ref_.erase(key) > 0;
+    EXPECT_EQ(wheel_.cancel(key.second), pending);
+    return pending;
+  }
+
+  void advance(Duration now) {
+    wheel_.advance(TimePoint{now});
+    while (!ref_.empty() && ref_.begin()->first <= now.count()) {
+      ref_fired_.push_back(*ref_.begin());
+      ref_.erase(ref_.begin());
+    }
+  }
+
+  /// The wheel matches the reference on everything fired so far, on the
+  /// pending count, and on the earliest pending deadline.
+  [[nodiscard]] ::testing::AssertionResult agrees() const {
+    if (wheel_fired_ != ref_fired_) {
+      return ::testing::AssertionFailure()
+             << "fired sequences differ (" << wheel_fired_.size() << " vs "
+             << ref_fired_.size() << " fired)";
+    }
+    if (wheel_.pending() != ref_.size()) {
+      return ::testing::AssertionFailure()
+             << "pending " << wheel_.pending() << " vs " << ref_.size();
+    }
+    const TimePoint earliest =
+        ref_.empty() ? TimePoint::max() : TimePoint{Duration{ref_.begin()->first}};
+    if (wheel_.next_due() != earliest) {
+      return ::testing::AssertionFailure() << "next_due " << wheel_.next_due().count()
+                                           << " ns vs earliest " << earliest.count()
+                                           << " ns";
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  [[nodiscard]] const std::set<Key>& pending() const { return ref_; }
+  [[nodiscard]] std::size_t fired() const { return ref_fired_.size(); }
+
+ private:
+  TimerWheel wheel_;
+  std::vector<Key> wheel_fired_;
+  std::vector<Key> ref_fired_;
+  std::set<Key> ref_;  // pending
+};
+
+// Randomized differential test against the reference. The first inputs span
+// all four levels so every cascade path is exercised; advances use
+// irregular steps so level boundaries are crossed mid-slot and in bulk. The
+// last input is shaped like retransmits.
 TEST(TimerWheel, CascadeCorrectnessMatchesNaiveReferenceAcrossLevels) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     std::mt19937_64 rng{seed};
-    TimerWheel wheel;
-    wheel.advance(at(0));
-
-    // Both sides fire in (due, id) order with monotone ids assigned in the
-    // same insertion order, so comparing the fired (due, id) sequences
-    // checks order, timing, and exactly-once delivery at once.
-    std::vector<std::pair<std::int64_t, TimerId>> wheel_fired;
-    std::vector<std::pair<std::int64_t, TimerId>> ref_fired;
-    std::map<std::pair<std::int64_t, TimerId>, bool> ref;  // pending set
-
+    Lockstep run;
     Duration now{};
     for (int round = 0; round < 300; ++round) {
       const int adds = 1 + static_cast<int>(rng() % 4);
@@ -221,21 +300,13 @@ TEST(TimerWheel, CascadeCorrectnessMatchesNaiveReferenceAcrossLevels) {
             250'000, 60'000'000, 16'000'000'000, 900'000'000'000};
         const std::uint64_t span = kSpanUs[rng() % 4];
         const auto delay = microseconds{static_cast<std::int64_t>(rng() % span) + 1};
-        const TimePoint due = TimePoint{now} + delay;
-        // The wheel hands out the id before the callback can fire (the due
-        // is strictly future), so capturing through a stable box is safe.
-        auto id_box = std::make_shared<TimerId>(0);
-        *id_box = wheel.add(due, [&wheel_fired, due, id_box] {
-          wheel_fired.emplace_back(due.count(), *id_box);
-        });
-        ref.emplace(std::make_pair(due.count(), *id_box), true);
+        run.add(TimePoint{now} + delay);
       }
       // Occasionally cancel a random pending timer on both sides.
-      if (!ref.empty() && rng() % 3 == 0) {
-        auto victim =
-            std::next(ref.begin(), static_cast<std::ptrdiff_t>(rng() % ref.size()));
-        EXPECT_TRUE(wheel.cancel(victim->first.second));
-        ref.erase(victim);
+      const auto& pending = run.pending();
+      if (!pending.empty() && rng() % 3 == 0) {
+        const auto skip = static_cast<std::ptrdiff_t>(rng() % pending.size());
+        EXPECT_TRUE(run.cancel(*std::next(pending.begin(), skip)));
       }
       // Irregular advance: usually small, sometimes a level-crossing leap.
       const std::uint64_t leap = rng() % 20;
@@ -243,19 +314,51 @@ TEST(TimerWheel, CascadeCorrectnessMatchesNaiveReferenceAcrossLevels) {
       if (leap == 0) step = seconds{static_cast<std::int64_t>(rng() % 90)};
       if (leap == 1) step = std::chrono::hours{1 + static_cast<std::int64_t>(rng() % 5)};
       now += step;
-      wheel.advance(TimePoint{now});
-      for (auto it = ref.begin(); it != ref.end();) {
-        if (it->first.first <= Duration{now}.count()) {
-          ref_fired.emplace_back(it->first.first, it->first.second);
-          it = ref.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      ASSERT_EQ(wheel_fired, ref_fired) << "seed " << seed << " round " << round;
-      ASSERT_EQ(wheel.pending(), ref.size());
+      run.advance(now);
+      ASSERT_TRUE(run.agrees()) << "seed " << seed << " round " << round;
     }
   }
+
+  // Retransmit-shaped input: every quorum phase arms a timer 100 ms out and
+  // cancels it when the quorum answers, within a tick or two; one phase in
+  // 200 never hears back and its timer fires. The wheel advances in
+  // sub-millisecond steps, once per reactor cycle.
+  std::mt19937_64 rng{4};
+  Lockstep run;
+  std::multimap<Duration, Lockstep::Key> answers;  // answer time -> timer
+  std::size_t armed = 0;
+  std::size_t cancelled = 0;
+  Duration now{};
+  for (int cycle = 0; cycle < 5000; ++cycle) {
+    const int phases = static_cast<int>(rng() % 3);
+    for (int p = 0; p < phases; ++p) {
+      const Lockstep::Key key = run.add(TimePoint{now + milliseconds{100}});
+      ++armed;
+      if (rng() % 200 != 0) {
+        const auto delay = microseconds{static_cast<std::int64_t>(rng() % 2000)};
+        answers.emplace(now + delay, key);
+      }
+    }
+    while (!answers.empty() && answers.begin()->first <= now) {
+      EXPECT_TRUE(run.cancel(answers.begin()->second));
+      ++cancelled;
+      answers.erase(answers.begin());
+    }
+    now += microseconds{static_cast<std::int64_t>(rng() % 400)};
+    run.advance(now);
+    ASSERT_TRUE(run.agrees()) << "retransmit cycle " << cycle;
+  }
+  for (const auto& [when, key] : answers) {
+    EXPECT_TRUE(run.cancel(key));
+    ++cancelled;
+  }
+  run.advance(now + milliseconds{200});
+  ASSERT_TRUE(run.agrees());
+  EXPECT_TRUE(run.pending().empty());
+  EXPECT_GE(armed, 4000u);
+  EXPECT_GE(cancelled * 100, armed * 99);
+  EXPECT_GT(run.fired(), 0u);
+  EXPECT_EQ(run.fired() + cancelled, armed);
 }
 
 }  // namespace
