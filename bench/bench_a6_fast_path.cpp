@@ -31,7 +31,7 @@ RowResult run(double read_fraction, bool fast_path, std::uint64_t seed) {
   harness::DeployOptions options;
   options.n = 5;
   options.seed = seed;
-  options.client.fast_path_reads = fast_path;
+  if (fast_path) options.client.variant = abd::ProtocolVariant::kUnanimousFastPath;
   harness::SimDeployment d{std::move(options)};
 
   harness::WorkloadOptions workload;

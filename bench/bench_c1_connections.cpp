@@ -3,12 +3,13 @@
 // 1k-10k concurrent pipelined clients (a net::ClientSwarm) read against a
 // 3-replica group where every replica is a REAL abd_node subprocess — the
 // fd budget (ulimit -n 20000 here) is split across four processes instead
-// of concentrating ~4x clients x n descriptors in one, and replica crashes
+// of concentrating ~2x clients x n descriptors in one, and replica crashes
 // or accept-queue behaviour are the kernel's, not an in-process emulation.
 //
 // What the sweep shows:
-//   * conns = clients x n concurrent TCP connections into the group (the
-//     swarm holds the same number again for dial-back replies).
+//   * conns = clients x n concurrent TCP connections into the group, each
+//     carrying its requests out and its replies back; the replicas' table
+//     lists only the n replicas.
 //   * Replica capacity is governed by a MODELED per-inbound-frame service
 //     time delta (abd_node --inbound-service-us): each op costs a replica 2
 //     inbound frames (one request per round, E1), so one reactor sustains
@@ -220,9 +221,6 @@ RowResult run_row(const std::string& node_path, std::size_t clients, std::size_t
   options.metrics = &metrics;
 
   net::ClientSwarm swarm{std::move(options)};
-  const std::vector<net::Address> client_entries = swarm.bind();
-  table.insert(table.end(), client_entries.begin(), client_entries.end());
-
   ReplicaGroup group{node_path, table, reactors, service_us};
   if (!group.wait_listening(table)) die("replica group never started listening");
   if (!swarm.start(table)) die("swarm connect storm timed out");
@@ -392,8 +390,8 @@ int main(int argc, char** argv) {
                          {"swarm_shards", shards}});
   if (!out.write_file(out_path)) return 1;
   std::printf(
-      "\nnote: 'conns' counts swarm->group connections only; the group dials the\n"
-      "same number back for replies. acc p50/p99 = connect start to established,\n"
+      "\nnote: 'conns' counts swarm->group connections; replies ride back on\n"
+      "them. acc p50/p99 = connect start to established,\n"
       "including the replica's accept/backlog delay. E1 identity (msgs = 2n x ops,\n"
       "rounds = 2 x ops) hard-asserted on every row.\n");
   return 0;

@@ -22,9 +22,9 @@
 #include <vector>
 
 #include "abdkit/abd/node.hpp"
+#include "abdkit/abd/sync_register.hpp"
 #include "abdkit/common/metrics.hpp"
 #include "abdkit/common/stats.hpp"
-#include "abdkit/net/sync_node.hpp"
 #include "abdkit/net/transport.hpp"
 #include "abdkit/quorum/quorum_system.hpp"
 #include "perf_json.hpp"
@@ -76,7 +76,7 @@ Row run_row(std::size_t n, bool fast_path, int ops) {
   node_options.quorums = std::make_shared<quorum::MajorityQuorum>(n);
   node_options.write_mode = abd::WriteMode::kMultiWriter;
   node_options.client.retransmit_interval = 100ms;
-  node_options.client.fast_path_reads = fast_path;
+  if (fast_path) node_options.client.variant = abd::ProtocolVariant::kUnanimousFastPath;
   node_options.client.metrics = &metrics();
 
   std::vector<std::unique_ptr<net::Transport>> transports;
@@ -100,7 +100,10 @@ Row run_row(std::size_t n, bool fast_path, int ops) {
   }
   for (auto& transport : transports) transport->start(table);
 
-  net::SyncNode registers{*transports.back(), *client_node};
+  net::Transport& client = *transports.back();
+  abd::SyncRegister registers{
+      [&client](std::function<void()> fn) { client.post(std::move(fn)); },
+                              *client_node};
   Row row;
   double write_rounds = 0;
   double read_rounds = 0;

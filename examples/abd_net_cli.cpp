@@ -1,13 +1,14 @@
 // abd_net_cli — drive reads/writes against abd_node replicas over real TCP.
 //
 //   $ ./abd_net_cli --id 3 --replicas 3
-//       --peers 127.0.0.1:4100,127.0.0.1:4101,127.0.0.1:4102,127.0.0.1:4103
+//       --peers 127.0.0.1:4100,127.0.0.1:4101,127.0.0.1:4102
 //       --ops 20 --timeout-ms 5000 --seed 7
 //
-// The CLI is itself a protocol participant: it takes the --id'th slot of
-// the peer table (a client slot, >= --replicas), runs the ABD client quorum
-// phases against the replica universe, and listens for the replies the
-// replicas dial back. The workload is a closed loop of multi-writer writes
+// The CLI is itself a protocol participant: a client with its own id
+// (>= --replicas, with no slot in the peer table), it runs the ABD client
+// quorum phases against the replica universe. It listens nowhere: each
+// reply rides back on the connection its request went out on. The
+// workload is a closed loop of multi-writer writes
 // and atomic reads per object; every completed operation is recorded as a
 // timed interval and the history is checker-verified (linearizability per
 // object) before exit. Exits nonzero on any timeout or consistency
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "abdkit/abd/node.hpp"
+#include "abdkit/abd/sync_register.hpp"
 #include "abdkit/abd/strategy.hpp"
 #include "abdkit/checker/history.hpp"
 #include "abdkit/checker/linearizability.hpp"
@@ -30,7 +32,6 @@
 #include "abdkit/common/metrics.hpp"
 #include "abdkit/common/stats.hpp"
 #include "abdkit/harness/workload.hpp"
-#include "abdkit/net/sync_node.hpp"
 #include "abdkit/net/transport.hpp"
 #include "abdkit/quorum/quorum_system.hpp"
 #include "abdkit/shard/router.hpp"
@@ -60,9 +61,10 @@ struct Args {
 void usage() {
   std::printf(
       "usage: abd_net_cli --id I --replicas R --peers h:p,... [options]\n"
-      "  --id I           this client's index into the peer table (>= R)\n"
+      "  --id I           this client's process id (>= R; no --peers slot)\n"
       "  --replicas R     quorum universe size (first R peer entries)\n"
-      "  --peers LIST     comma-separated host:port table, index = process id\n"
+      "  --peers LIST     comma-separated host:port table of the replicas,\n"
+      "                   index = process id\n"
       "  --shards S       treat the R replicas as S contiguous quorum groups of\n"
       "                   R/S (requires R %% S == 0) and route each object to its\n"
       "                   group — run the abd_node peers with the same flag\n"
@@ -141,8 +143,8 @@ int main(int argc, char** argv) {
   }
   std::vector<net::Address> table;
   if (!net::parse_address_list(args.peers, table) || args.replicas == 0 ||
-      args.id >= table.size() || table.size() < args.replicas || args.objects == 0 ||
-      args.shards == 0 || args.replicas % args.shards != 0) {
+      args.id == kNoProcess || args.id < args.replicas || table.size() < args.replicas ||
+      args.objects == 0 || args.shards == 0 || args.replicas % args.shards != 0) {
     usage();
     return 2;
   }
@@ -172,7 +174,7 @@ int main(int argc, char** argv) {
 
   try {
     // --shards > 1 swaps the single-group abd::Node for a shard::Router:
-    // the same SyncNode facade, but every operation is dispatched to the
+    // the same SyncRegister facade, but every operation is dispatched to the
     // object's own quorum group by the Router's routing seam.
     std::unique_ptr<Actor> actor;
     abd::RegisterNode* node_ref = nullptr;
@@ -189,9 +191,10 @@ int main(int argc, char** argv) {
       actor = std::move(node);
     }
     net::Transport transport{std::move(options), std::move(actor)};
-    (void)transport.bind(table[args.id]);
     transport.start(table);
-    net::SyncNode registers{transport, *node_ref};
+    abd::SyncRegister registers{
+        [&transport](std::function<void()> fn) { transport.post(std::move(fn)); },
+        *node_ref};
 
     const Duration timeout = std::chrono::milliseconds{args.timeout_ms};
     checker::History history;

@@ -1,14 +1,15 @@
 // abd_node — one ABD replica as a real OS process.
 //
 //   $ ./abd_node --id 0 --replicas 3
-//       --peers 127.0.0.1:4100,127.0.0.1:4101,127.0.0.1:4102,127.0.0.1:4103
+//       --peers 127.0.0.1:4100,127.0.0.1:4101,127.0.0.1:4102
 //
 // Hosts a full abd::Node (replica + client halves) on a net::Transport and
-// serves until SIGINT/SIGTERM. The --peers table covers every participant,
-// indexed by process id; the first --replicas entries are the quorum
-// universe (the paper's n), later entries are client processes such as
-// abd_net_cli. Kill -9 this process and its peers see exactly the paper's
-// crash fault: silence, with in-flight messages lost.
+// serves until SIGINT/SIGTERM. The --peers table lists the replicas,
+// indexed by process id: the first --replicas entries are the quorum
+// universe (the paper's n), and later entries are accepted and ignored.
+// Clients such as abd_net_cli need no entry: each reply rides back on the
+// connection its request arrived on. Kill -9 this process and its peers see
+// exactly the paper's crash fault: silence, with in-flight messages lost.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -56,7 +57,8 @@ void usage() {
       "usage: abd_node --id I --replicas R --peers h:p,h:p,...\n"
       "  --id I         this process's index into the peer table\n"
       "  --replicas R   quorum universe size (first R peer entries)\n"
-      "  --peers LIST   comma-separated host:port table, index = process id\n"
+      "  --peers LIST   comma-separated host:port table of the replicas, index =\n"
+      "                 process id (clients need no entry; extra ones are ignored)\n"
       "  --shards S     split the R replicas into S contiguous quorum groups\n"
       "                 of R/S (requires R %% S == 0). The process serves every\n"
       "                 group it belongs to on this one transport and is a\n"

@@ -90,17 +90,6 @@ struct ClientOptions {
   /// the high bits) so a reply's round field alone identifies the owning
   /// client. Zero (the default) keeps the historical ids 1, 2, ...
   RoundId round_base{0};
-  /// Back-compat alias (pre-strategy API): true selects
-  /// ProtocolVariant::kUnanimousFastPath when `variant` is still kBaseline
-  /// — when every counted reply of the read quorum carries the SAME tag,
-  /// skip the write-back and return in one round trip. Safe: a unanimous
-  /// read quorum means the value already resides at a full quorum, which is
-  /// exactly what the write-back would establish; tags only grow, so later
-  /// reads still intersect it at >= that tag. Under read-mostly workloads
-  /// this halves read latency and messages (ablation A6). Suppressed (and
-  /// counted, see Client::fast_path_suppressed) in Byzantine mode. Default
-  /// off (the paper's protocol).
-  bool fast_path_reads{false};
   /// Optional metrics registry (not owned; must outlive the client). When
   /// set, the client records per-phase latency timers and op/traffic
   /// counters into it — see metrics.hpp for the key conventions.
@@ -145,8 +134,7 @@ class Client {
   [[nodiscard]] ReadMode read_mode() const noexcept { return read_mode_; }
   void set_read_mode(ReadMode mode) noexcept { read_mode_ = mode; }
 
-  /// The resolved protocol variant this client runs (after the
-  /// fast_path_reads back-compat alias is applied).
+  /// The protocol variant this client runs.
   [[nodiscard]] ProtocolVariant variant() const noexcept {
     return strategy_.variant();
   }

@@ -9,25 +9,12 @@
 
 namespace abdkit::abd {
 
-namespace {
-
-/// Apply the pre-strategy back-compat alias: fast_path_reads selects the
-/// unanimous-fast-path variant unless an explicit variant was configured.
-ProtocolVariant resolve_variant(const ClientOptions& options) noexcept {
-  if (options.fast_path_reads && options.variant == ProtocolVariant::kBaseline) {
-    return ProtocolVariant::kUnanimousFastPath;
-  }
-  return options.variant;
-}
-
-}  // namespace
-
 Client::Client(std::shared_ptr<const quorum::QuorumSystem> quorums, ReadMode read_mode,
                ClientOptions options)
     : quorums_{std::move(quorums)},
       read_mode_{read_mode},
       options_{options},
-      strategy_{resolve_variant(options), options.resilience_f},
+      strategy_{options.variant, options.resilience_f},
       next_round_{options.round_base + 1},
       metrics_{options.metrics} {
   if (quorums_ == nullptr) throw std::invalid_argument{"Client: null quorum system"};

@@ -55,7 +55,7 @@
 //   net.read_calls                  read() syscalls issued
 //   net.writev_calls                writev() syscalls issued
 //   net.writev_iovecs               iovecs submitted across writev calls
-//   net.sends_dropped               frames dropped (peer unknown/backlog)
+//   net.sends_dropped               frames dropped (no route/queue cap)
 //   net.faults_dropped              frames dropped by fault injection
 //   net.dropped_bytes               queued bytes discarded at disconnect
 //   net.frame_decode_errors         malformed frames off the wire
@@ -69,8 +69,8 @@
 //   swarm.connects                  swarm client->replica conns established
 //   swarm.disconnects               swarm client->replica conns lost
 //   swarm.sends_dropped             swarm frames dropped (cap/bad address)
-//   swarm.frame_decode_errors       malformed frames on swarm dial-backs
-//   swarm.misrouted_frames          dial-back frames for an unknown client
+//   swarm.frame_decode_errors       malformed frames on swarm connections
+//   swarm.misrouted_frames          frames addressed to another client
 //   reconfig.fences_started         admin fences begun
 //   reconfig.fences_committed       admin fences committed
 //   reconfig.fences_aborted         admin fences aborted

@@ -55,7 +55,6 @@ struct ScenarioOptions {
   /// variants additionally arm the I4 fast-return-residence monitor: every
   /// 1-round atomic read is checked against replica state at that instant.
   abd::ProtocolVariant variant{abd::ProtocolVariant::kBaseline};
-  bool fast_path_reads{false};
   /// Re-injects the PR-1 duplicate-reply vote-inflation bug (see
   /// abd::ClientOptions::testing_revert_duplicate_reply_gate). Used by
   /// regression scenarios proving the explorer rediscovers the bug.

@@ -38,7 +38,6 @@ RegisterScenario::RegisterScenario(ScenarioOptions options)
   abd::ClientOptions client;
   client.byzantine_f = options_.byzantine_f;
   client.variant = options_.variant;
-  client.fast_path_reads = options_.fast_path_reads;
   client.resilience_f = options_.resilience_f;
   client.testing_revert_duplicate_reply_gate = options_.revert_duplicate_reply_gate;
 

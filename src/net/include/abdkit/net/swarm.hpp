@@ -7,16 +7,13 @@
 //
 //   * Each shard is one reactor thread owning clients round-robined by
 //     index. A client is a full abd::Node actor with its own ProcessId,
-//     its own per-replica TCP connections (so the GROUP-side connection
-//     count scales as clients x n — the quantity bench_c1 sweeps), its own
-//     SendQueues, and a Context whose timers live on the shard's wheel.
-//   * Each shard has ONE listening socket shared by all its clients: every
-//     client's address-table entry points at its shard's listener, so a
-//     replica dialing back a reply reaches the right shard, which routes
-//     the decoded frame to the client by destination id. Dial-back conns
-//     therefore scale with clients too, but swarm-side fds stay bounded by
-//     2 x clients x n + shards.
-//   * Connect latency (connect(2) start to established, which includes the
+//     its own net::Connection to each replica (so the group-side
+//     connection count scales as clients x n — the quantity bench_c1
+//     sweeps), and a Context whose timers live on the shard's wheel.
+//   * Replies ride back on the connection that carried the request, so the
+//     swarm listens nowhere, the replicas need only their own n-entry
+//     table, and the swarm holds exactly clients x n sockets.
+//   * Connect latency (dial start to established, which includes the
 //     replica's accept backlog delay — the acceptance-latency signal) and
 //     per-op latency are recorded in lock-free histograms.
 //
@@ -30,20 +27,16 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "abdkit/abd/node.hpp"
 #include "abdkit/common/metrics.hpp"
 #include "abdkit/common/transport.hpp"
+#include "abdkit/net/connection.hpp"
 #include "abdkit/net/reactor.hpp"
-#include "abdkit/net/send_queue.hpp"
-#include "abdkit/net/transport.hpp"  // Address
 #include "abdkit/wire/codec.hpp"
 
 namespace abdkit::net {
-
-class FrameDecoder;
 
 struct SwarmOptions {
   /// Concurrent clients (each with a distinct ProcessId >= world_size).
@@ -74,15 +67,9 @@ class ClientSwarm {
   ClientSwarm(const ClientSwarm&) = delete;
   ClientSwarm& operator=(const ClientSwarm&) = delete;
 
-  /// Bind one listener per shard. Returns the address-table entries for
-  /// client ids [world_size, world_size + clients), in id order — entry i
-  /// is client i's shard listener. The caller appends these to the replica
-  /// addresses to form the full table handed to every replica process.
-  [[nodiscard]] std::vector<Address> bind();
-
-  /// Install the full table (replicas at [0, world_size), then the bind()
-  /// entries), start the shard threads, and dial every client's n replica
-  /// connections. Blocks until all clients x n are established or
+  /// Install the replica table (at least world_size entries; later ones
+  /// are ignored), start the shard threads, and dial every client's n
+  /// replica connections. Blocks until all clients x n are established or
   /// connect_timeout passes; false on timeout (stats still valid).
   [[nodiscard]] bool start(std::vector<Address> table);
 
@@ -115,17 +102,6 @@ class ClientSwarm {
   void stop();
 
  private:
-  /// One outbound connection: client c -> replica r.
-  struct Conn {
-    int fd{-1};
-    std::uint32_t slot{0};
-    SendQueue queue;
-    bool connected{false};
-    bool flush_pending{false};
-    bool write_blocked{false};
-    TimePoint dial_start{};
-  };
-
   struct Shard;
   class SwarmContext;
 
@@ -135,45 +111,29 @@ class ClientSwarm {
     Shard* shard{nullptr};
     std::unique_ptr<abd::Node> node;
     std::unique_ptr<SwarmContext> ctx;
-    std::vector<Conn> conns;  ///< index = replica id
-  };
-
-  /// Inbound dial-back connection accepted on a shard's listener.
-  struct InboundConn {
-    int fd{-1};
-    std::unique_ptr<FrameDecoder> decoder;
+    std::vector<std::unique_ptr<Connection>> conns;  ///< index = replica id
+    std::vector<TimePoint> dialed_at;                ///< index = replica id
   };
 
   struct Shard {
-    std::unique_ptr<Reactor> reactor;
+    std::unique_ptr<Reactor> reactor;  ///< first: outlives the connections
     std::thread thread;
-    std::size_t index{0};
-    int listen_fd{-1};
-    std::uint16_t port{0};
     std::vector<SwarmClient*> clients;
-    std::unordered_map<std::uint32_t, InboundConn> inbound;
-    /// (client, replica) pairs with frames enqueued since the last flush;
-    /// the shard's before-wait pass runs one writev per dirty conn.
-    std::vector<std::pair<SwarmClient*, std::size_t>> dirty;
+    /// Connections with frames enqueued since the last flush pass.
+    std::vector<Connection*> dirty;
   };
 
   [[nodiscard]] TimePoint now() const;
   void client_send(SwarmClient& client, ProcessId to, PayloadPtr payload);
   void dial(SwarmClient& client, std::size_t replica);
-  void conn_event(SwarmClient& client, std::size_t replica, std::uint32_t events);
-  void conn_established(SwarmClient& client, std::size_t replica);
-  void conn_lost(SwarmClient& client, std::size_t replica);
-  void flush_conn(SwarmClient& client, std::size_t replica);
-  void accept_ready(Shard& shard);
-  void inbound_event(Shard& shard, std::uint32_t slot, std::uint32_t events);
-  void dispatch(Shard& shard, ProcessId src, ProcessId dst, const Payload& payload);
-  void before_wait(Shard& shard);
+  void conn_closed(SwarmClient& client, std::size_t replica, Connection::Closed why);
+  void dispatch(SwarmClient& client, const Frame& frame);
   void issue(SwarmClient& client);
   void count(std::string_view name, std::uint64_t delta = 1);
 
   SwarmOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<SwarmClient>> clients_;
+  std::vector<std::unique_ptr<SwarmClient>> clients_;  ///< after shards_: destroyed first
   std::vector<Address> table_;
   std::chrono::steady_clock::time_point epoch_;
   bool started_{false};

@@ -102,8 +102,10 @@ class TimerWheel {
   /// inner levels are empty instead of walking every 1 ms tick of a long
   /// idle gap.
   std::uint64_t level_count_[kLevels]{};
+  /// Starts at tick 0, so timers armed before the first advance() are
+  /// placed relative to the clock's origin like every later one; the first
+  /// advance strides over the empty span up to `now`.
   std::uint64_t current_tick_{0};
-  bool started_{false};  ///< current_tick_ is meaningful only after first use
   TimerId next_id_{1};
   std::uint64_t cascades_{0};
 };

@@ -11,48 +11,50 @@
 // the other two environments provide, so protocol code runs unchanged. The
 // asynchronous-network model maps onto TCP as follows:
 //
-//   * Channels are pairwise one-directional TCP connections, dialed lazily
-//     and redialed with exponential backoff; while a peer is unreachable,
-//     frames queued for it are dropped — to the protocol a crashed replica
-//     is exactly the paper's crash fault: silent, with messages to it lost.
-//     (Run clients with a retransmit_interval for liveness under crashes,
-//     as with the lossy-link simulator extension.)
+//   * Every channel is a bidirectional net::Connection. Each process dials
+//     every replica eagerly and redials it forever with jittered backoff;
+//     while a replica is unreachable, frames queued for it are dropped — to
+//     the protocol a crashed replica is exactly the paper's crash fault:
+//     silent, with messages to it lost. (Run clients with a
+//     retransmit_interval for liveness under crashes, as with the lossy-link
+//     simulator extension.)
+//   * Nobody dials a client-only process. A process answers a client id on
+//     the connection that client's frames arrive on, learning the route
+//     from the src field every frame carries; the newest connection to
+//     deliver a frame from an id owns its route. A reply with no live
+//     route is dropped and counted in net.sends_dropped, and the client
+//     retransmits (PROTOCOL.md §14).
 //   * Delivery is asynchronous and, across peers, unordered — quorum logic
 //     must not (and does not) assume FIFO between processes.
 //   * The actor executes single-threadedly on the HOME reactor's thread;
 //     post() is the only sanctioned way to poke it from outside, mirroring
 //     runtime::Cluster::post.
 //
-// Event-loop architecture (PR 10; details in DESIGN.md "Epoll multi-reactor"):
-// the transport runs `reactors` edge-triggered epoll loops (net/reactor.hpp),
+// Event-loop architecture (details in DESIGN.md "Epoll multi-reactor"): the
+// transport runs `reactors` edge-triggered epoll loops (net/reactor.hpp),
 // each with its own thread, timer wheel, and eventfd-woken post queue.
 // Reactor 0 is the HOME reactor: it runs the actor, the actor's timers, the
-// replica-mesh peers, fault injection, the observer hook, and the acceptor.
-// Inbound connections are round-robined across ALL reactors by the acceptor;
-// the owning reactor does the socket reads and frame decoding, then batch-
-// posts decoded frames to home for actor delivery (per-connection FIFO is
-// preserved: one connection is read by one thread, and posts are FIFO).
-// Outbound connections to client-only processes (id >= world_size) are owned
-// by reactor id % reactors; the actor's send path encodes on the home thread
-// and hands the bytes off in per-cycle batches. With reactors == 1 every
-// hand-off degenerates to a direct call on the single loop thread — the
-// exact semantics (and tests) of the old single-loop transport. Reactor
+// replica-mesh connections, fault injection, the observer hook, the route
+// table and the acceptor. Accepted connections are round-robined across ALL
+// reactors; the owning reactor reads and decodes, then batch-posts decoded
+// frames to home for actor delivery (per-connection FIFO is preserved: one
+// connection is read by one thread, and posts are FIFO). A reply to a
+// client encodes on the home thread and is handed, in per-cycle batches, to
+// the reactor that owns the client's connection. With reactors == 1 every
+// hand-off degenerates to a direct call on the single loop thread. Reactor
 // count is transport-level only: the protocol cannot observe it
 // (PROTOCOL.md §12 note).
 //
-// The address table covers every participant, indexed by ProcessId. Entries
-// [0, world_size) are the paper's n replicas (broadcast targets; Context::
-// world_size()); entries beyond world_size are client-only processes that
-// invoke operations but hold no quorum slot. Both kinds listen, because
-// replies are dialed back to the requester's table entry.
+// The address table lists the paper's n replicas at [0, world_size)
+// (broadcast targets; Context::world_size()). Client-only processes take
+// ids >= world_size, hold no quorum slot, need no table entry and need not
+// listen; entries beyond world_size are accepted and ignored.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <string>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -61,29 +63,13 @@
 #include "abdkit/common/message.hpp"
 #include "abdkit/common/metrics.hpp"
 #include "abdkit/common/rng.hpp"
-#include "abdkit/common/thread_annotations.hpp"
 #include "abdkit/common/transport.hpp"
+#include "abdkit/net/connection.hpp"
 #include "abdkit/net/reactor.hpp"
-#include "abdkit/net/send_queue.hpp"
 #include "abdkit/runtime/cluster.hpp"
 #include "abdkit/wire/codec.hpp"
 
 namespace abdkit::net {
-
-class FrameDecoder;
-struct Frame;
-
-/// A TCP endpoint in the address table.
-struct Address {
-  std::string host{"127.0.0.1"};
-  std::uint16_t port{0};
-};
-
-/// Parse "host:port". Returns false on malformation.
-[[nodiscard]] bool parse_address(const std::string& text, Address& out);
-
-/// Parse a comma-separated address table "h:p,h:p,...".
-[[nodiscard]] bool parse_address_list(const std::string& text, std::vector<Address>& out);
 
 /// Decorrelated-jitter reconnect backoff (AWS architecture-blog flavor):
 /// draws uniformly from [floor, min(cap, 3 * previous)], treating a
@@ -146,16 +132,15 @@ struct TransportOptions {
   /// doubling schedule and their dials collide forever.
   Duration reconnect_min{std::chrono::milliseconds{20}};
   Duration reconnect_max{std::chrono::seconds{1}};
-  /// Seed for the reconnect jitter stream, mixed with `self` (and, for
-  /// client-peer owners, the reactor index) so each process jitters
-  /// independently even when configured identically. Any fixed value gives
-  /// a deterministic redial schedule (tests rely on it).
+  /// Seed for the reconnect jitter stream, mixed with `self` so each
+  /// process jitters independently even when configured identically. Any
+  /// fixed value gives a deterministic redial schedule (tests rely on it).
   std::uint64_t reconnect_jitter_seed{0};
   /// Codec envelope for outgoing frames (wire::WireFormat::kCompact = the
   /// two-bit-messages constant-size control field). Receiving auto-detects,
   /// so mixed-format clusters interoperate.
   wire::WireFormat wire_format{wire::WireFormat::kStandard};
-  /// Per-peer cap on bytes queued while a connection is down or congested;
+  /// Per-connection cap on bytes queued while it is down or congested;
   /// frames beyond it are dropped (and counted), like any lost message.
   std::size_t max_send_buffer{4u << 20};
   /// Frame length cap handed to the receive-side decoders.
@@ -177,10 +162,10 @@ struct TransportOptions {
   /// Optional ClusterEvent-style observer (same type as runtime::Cluster's
   /// hook, so trace::ClusterRecorder works against either backend). Invoked
   /// from the HOME reactor thread only. (One narrow exception is absent,
-  /// not moved: a send dropped by a REMOTE-owned client peer's buffer cap
-  /// is counted in net.sends_dropped but emits no kDrop event — the cap
-  /// check runs on the owning reactor. With reactors == 1 every drop is
-  /// observed, as before.)
+  /// not moved: a reply handed to another reactor and dropped there — its
+  /// connection's cap breached, or the connection gone — is counted in
+  /// net.sends_dropped but emits no kDrop event. With reactors == 1 every
+  /// drop is observed.)
   runtime::ClusterObserver observer;
 };
 
@@ -194,14 +179,14 @@ class Transport {
   Transport& operator=(const Transport&) = delete;
 
   /// Bind and listen on `listen` (normally the self entry of the address
-  /// table; port 0 picks an ephemeral port). Returns the bound port. Must
-  /// be called once, before start(). Throws std::runtime_error on failure.
+  /// table; port 0 picks an ephemeral port). Returns the bound port. A
+  /// replica must call it once, before start(); a client-only process may,
+  /// but nobody dials it. Throws std::runtime_error on failure.
   std::uint16_t bind(const Address& listen);
 
-  /// Install the full address table (index = ProcessId; size() must be
-  /// >= world_size and > self), start the reactor threads, and run the
-  /// actor's on_start on the home reactor. Replica peers are dialed
-  /// eagerly; client entries are dialed on first send.
+  /// Install the address table (index = ProcessId; at least world_size
+  /// entries), start the reactor threads, and run the actor's on_start on
+  /// the home reactor. Every replica but self is dialed eagerly.
   void start(std::vector<Address> peers);
 
   /// Stops every reactor and joins the threads (idempotent). After stop()
@@ -227,9 +212,9 @@ class Transport {
   /// reactors).
   [[nodiscard]] TimePoint now() const;
 
-  /// Snapshot of one peer's outbound queue (test/diagnostic visibility).
-  /// Owner-thread state: call only from within post() (home-owned peers:
-  /// replicas, and with reactors == 1 everything), like the actor.
+  /// Snapshot of the outbound queue to one replica-mesh peer (test and
+  /// diagnostic visibility). Home-thread state: call only from within
+  /// post(), like the actor.
   struct SendQueueStats {
     std::size_t queued_bytes{0};
     std::size_t resident_bytes{0};
@@ -240,60 +225,50 @@ class Transport {
  private:
   friend class NetContext;
 
-  enum class PeerState : std::uint8_t { kIdle, kConnecting, kBackoff, kConnected };
-
-  /// Outgoing half-channel to one peer. Owned — like every mutable field —
-  /// by its owner reactor's thread: replicas (and, with reactors == 1,
-  /// everything) by home, client ids by reactor id % reactors.
+  /// A replica-mesh peer, owned by home: dialed eagerly, redialed forever.
   struct Peer {
-    PeerState state{PeerState::kIdle};
-    int fd{-1};
-    std::uint32_t slot{0};  ///< reactor slot while fd >= 0
-    /// Pending frames, segment-buffered for writev coalescing and eager
-    /// compaction (the limit is installed in start()).
-    SendQueue queue;
-    /// Frames enqueued since the last flush; cleared by the owner's
-    /// before-wait flush pass so every cycle ends with at most one writev
-    /// pass per peer.
-    bool flush_pending{false};
-    /// Edge-triggered write discipline: set when writev hit EAGAIN, cleared
-    /// (and the queue re-flushed) on the next EPOLLOUT edge. While set,
-    /// enqueues do not attempt syscalls.
-    bool write_blocked{false};
+    std::unique_ptr<Connection> conn;  ///< null for self
     Duration backoff{};
-    TimerId redial_timer{0};  ///< wheel timer while in kBackoff
     bool ever_connected{false};
   };
 
-  /// Inbound connection (receive-only), owned by one reactor.
+  /// Where a client id's replies go: an accepted connection, named by its
+  /// transport-unique id, and the reactor that owns it.
+  struct Route {
+    std::size_t domain{0};
+    std::uint64_t conn{0};
+  };
+
+  /// An accepted connection's event bound for home: a decoded frame or,
+  /// with a null payload, the connection's close, which releases the route
+  /// of frame.src.
   struct Inbound {
-    int fd{-1};
-    std::unique_ptr<FrameDecoder> decoder;
+    std::uint64_t conn{0};
+    Frame frame;
   };
 
   /// Per-reactor state. domains_[0] is home. Mutable fields are owned by
   /// that reactor's thread; the Reactor itself has its own cross-thread
   /// discipline (post()).
   struct Domain {
-    std::unique_ptr<Reactor> reactor;
+    std::unique_ptr<Reactor> reactor;  ///< first: outlives the connections
     std::thread thread;
     std::size_t index{0};
-    /// Jitter stream for this domain's reconnect backoff.
-    Rng reconnect_rng{0};
-    /// Open inbound connections keyed by reactor slot (the slot table's
-    /// free list does the recycling; this map exists for shutdown and is
-    /// O(1) per open/close, not O(total) per cycle like the old erase_if).
-    std::unordered_map<std::uint32_t, Inbound> inbound;
-    /// Decoded frames awaiting batch-post to home (satellite reactors).
-    std::vector<Frame> delivery_batch;
-    /// Client-peer ids with staged outbound bytes awaiting flush (home).
-    std::vector<ProcessId> dirty_peers;
+    /// Open accepted connections by id.
+    std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> accepted;
+    /// Connections closed this cycle, destroyed after its flush pass (the
+    /// dirty list may still point at them).
+    std::vector<std::unique_ptr<Connection>> closed;
+    /// Connections with frames enqueued since the last flush pass.
+    std::vector<Connection*> dirty;
+    /// Satellite reactors: this cycle's events for home, posted in one batch.
+    std::vector<Inbound> inbound;
     /// Modeled service-time debt, slept in >= 1 ms chunks.
     Duration service_debt{};
   };
 
-  /// Encoded outbound bytes staged on the home thread for a remote-owned
-  /// client peer; handed to the owner in one post per cycle.
+  /// Encoded replies staged on the home thread for a client whose
+  /// connection another reactor owns; handed over in one post per cycle.
   struct StagedBytes {
     std::vector<std::byte> bytes;
     std::uint64_t frames{0};
@@ -306,51 +281,54 @@ class Transport {
   TimerId set_timer(Duration delay, TimerCallback cb);
   void cancel_timer(TimerId id);
 
-  [[nodiscard]] std::size_t owner_of(ProcessId peer) const noexcept;
   [[nodiscard]] Domain& home() noexcept { return *domains_.front(); }
+  [[nodiscard]] std::unique_ptr<Connection> make_connection(Domain& domain,
+                                                            Connection::Callbacks callbacks);
 
-  // Peer lifecycle — each runs on the owner reactor's thread.
-  void begin_connect(Domain& domain, ProcessId peer);
-  void peer_failed(Domain& domain, ProcessId peer, bool was_connected);
-  void peer_connected(Domain& domain, ProcessId peer);
-  void peer_event(Domain& domain, ProcessId peer, std::uint32_t events);
-  void flush_peer(Domain& domain, ProcessId peer);
-  void enqueue_bytes(Domain& domain, ProcessId peer, const std::byte* data,
-                     std::size_t size, std::uint64_t frames);
+  // Replica mesh (home thread).
+  void dial(ProcessId peer);
+  void peer_closed(ProcessId peer, const Connection& conn, Connection::Closed why);
 
-  // Inbound path — owner reactor's thread.
+  // Accepted connections (owner reactor's thread).
   void accept_ready();
   void pause_accepting();
-  void adopt_inbound(Domain& domain, int fd);
-  void inbound_event(Domain& domain, std::uint32_t slot, std::uint32_t events);
-  void close_inbound(Domain& domain, std::uint32_t slot);
-  void deliver(const Frame& frame);  // home thread: hands the frame to the actor
+  void adopt(Domain& domain, int fd, std::uint64_t id);
+  void accepted_frame(Domain& domain, std::uint64_t id, Frame& frame);
+  void accepted_closed(Domain& domain, std::uint64_t id, Connection::Closed why);
+  void enqueue_staged(Domain& domain, std::uint64_t conn,
+                      const std::vector<std::byte>& bytes, std::uint64_t frames);
+
+  // Home thread: route bookkeeping and delivery to the actor.
+  void received(const Route& via, const Frame& frame);
+  void deliver(const Frame& frame);
 
   // Per-cycle hooks.
   void before_wait(Domain& domain);
   void drain_self_queue();
 
   void count(std::string_view name, std::uint64_t delta = 1);
+  void count_corrupt(const Connection& conn);
   void observe(runtime::ClusterEvent::Kind kind, ProcessId from, ProcessId to,
                const PayloadPtr& payload = nullptr, TimerId timer = 0);
   void publish_reactor_stats();
-  void close_all_fds();
+  void close_all();
 
   TransportOptions options_;
   // Fault injection (home thread only; installed via set_faults).
   FaultPlan faults_;
-  std::vector<bool> fault_blocked_;  ///< indexed by destination ProcessId
   Rng fault_rng_{0};
+  Rng reconnect_rng_;  ///< home: jitter for the mesh redials
   std::unique_ptr<Actor> actor_;
   std::unique_ptr<class NetContext> context_;
   std::vector<Address> table_;
-  std::vector<Peer> peers_;
   std::vector<std::unique_ptr<Domain>> domains_;
+  std::vector<Peer> mesh_;  ///< index = replica id; after domains_, so destroyed first
   int listen_fd_{-1};
   std::uint16_t listen_port_{0};
   std::uint32_t listen_slot_{0};
   bool accept_paused_{false};
   std::size_t next_inbound_domain_{0};  ///< acceptor round-robin cursor
+  std::uint64_t next_conn_id_{1};       ///< acceptor: accepted-connection ids
   bool started_{false};
   bool stopped_{false};
 
@@ -358,6 +336,7 @@ class Transport {
 
   // Home-thread state.
   std::deque<PayloadPtr> self_queue_;
+  std::unordered_map<ProcessId, Route> routes_;  ///< client id -> reply route
   std::unordered_map<ProcessId, StagedBytes> staged_;
   std::vector<ProcessId> staged_dirty_;
 };

@@ -1,42 +1,18 @@
 #include "abdkit/net/swarm.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/socket.h>
-#include <sys/uio.h>
-#include <unistd.h>
-
-#include <cerrno>
+#include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
-
-#include "abdkit/net/frame.hpp"
 
 namespace abdkit::net {
 
 namespace {
 
-constexpr int kMaxFlushIov = 64;
-
 /// Failed or lost dials retry on the shard wheel after this long; under a
 /// backlog-overflowed listener the kernel already paces SYN retries, this
 /// only governs hard connect() errors.
 constexpr auto kRedialDelay = std::chrono::milliseconds{100};
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-void set_nodelay(int fd) {
-  const int one = 1;
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-}
 
 std::uint64_t us_of(Duration d) noexcept {
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(d).count();
@@ -84,10 +60,10 @@ ClientSwarm::ClientSwarm(SwarmOptions options)
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
     auto shard = std::make_unique<Shard>();
-    shard->index = i;
     shard->reactor = std::make_unique<Reactor>([this] { return now(); });
     Shard* raw = shard.get();
-    shard->reactor->set_before_wait([this, raw] { before_wait(*raw); });
+    // One coalesced sendmsg per dirty connection per cycle.
+    shard->reactor->set_before_wait([raw] { Connection::flush_dirty(raw->dirty); });
     shards_.push_back(std::move(shard));
   }
   clients_.reserve(options_.clients);
@@ -97,8 +73,24 @@ ClientSwarm::ClientSwarm(SwarmOptions options)
     client->shard = shards_[i % shards_.size()].get();
     client->node = std::make_unique<abd::Node>(options_.node);
     client->ctx = std::make_unique<SwarmContext>(*this, *client);
-    client->conns.resize(options_.world_size);
-    for (Conn& conn : client->conns) conn.queue.set_limit(options_.max_send_buffer);
+    SwarmClient* raw = client.get();
+    for (std::size_t r = 0; r < options_.world_size; ++r) {
+      client->conns.push_back(std::make_unique<Connection>(
+          *client->shard->reactor,
+          Connection::Callbacks{
+              .on_connected =
+                  [this, raw, r] {
+                    connect_hist_.record_us(us_of(now() - raw->dialed_at[r]));
+                    connected_.fetch_add(1, std::memory_order_relaxed);
+                    count("swarm.connects");
+                  },
+              .on_frame = [this, raw](Frame& frame) { dispatch(*raw, frame); },
+              .on_closed = [this, raw, r](Connection::Closed why) {
+                conn_closed(*raw, r, why);
+              }},
+          options_.max_send_buffer, options_.max_frame_length, nullptr));
+    }
+    client->dialed_at.resize(options_.world_size);
     client->shard->clients.push_back(client.get());
     clients_.push_back(std::move(client));
   }
@@ -114,56 +106,12 @@ void ClientSwarm::count(std::string_view name, std::uint64_t delta) {
   if (options_.metrics != nullptr) options_.metrics->add(name, delta);
 }
 
-std::vector<Address> ClientSwarm::bind() {
-  for (auto& shard : shards_) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) throw std::runtime_error{"ClientSwarm: socket failed"};
-    const int one = 1;
-    (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0 ||
-        ::listen(fd, SOMAXCONN) < 0) {
-      ::close(fd);
-      throw std::runtime_error{"ClientSwarm: bind/listen failed"};
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof bound;
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) < 0) {
-      ::close(fd);
-      throw std::runtime_error{"ClientSwarm: getsockname failed"};
-    }
-    set_nonblocking(fd);
-    shard->listen_fd = fd;
-    shard->port = ntohs(bound.sin_port);
-  }
-  std::vector<Address> entries;
-  entries.reserve(clients_.size());
-  for (const auto& client : clients_) {
-    Address address;
-    address.host = "127.0.0.1";
-    address.port = client->shard->port;
-    entries.push_back(std::move(address));
-  }
-  return entries;
-}
-
 bool ClientSwarm::start(std::vector<Address> table) {
   if (started_) throw std::logic_error{"ClientSwarm: start called twice"};
-  if (table.size() < options_.world_size + options_.clients) {
+  if (table.size() < options_.world_size) {
     throw std::invalid_argument{"ClientSwarm: table too small"};
   }
   table_ = std::move(table);
-  // Pre-thread registration of the shard listeners is single-threaded-safe.
-  for (auto& shard : shards_) {
-    if (shard->listen_fd < 0) throw std::logic_error{"ClientSwarm: start before bind"};
-    Shard* raw = shard.get();
-    (void)shard->reactor->add_fd(
-        shard->listen_fd, [this, raw](std::uint32_t) { accept_ready(*raw); },
-        /*edge_triggered=*/false);
-  }
   for (auto& shard : shards_) {
     Shard* raw = shard.get();
     shard->reactor->post([this, raw] {
@@ -195,263 +143,52 @@ void ClientSwarm::stop() {
   for (auto& shard : shards_) {
     if (shard->thread.joinable()) shard->thread.join();
   }
+  for (auto& shard : shards_) shard->dirty.clear();
   for (auto& client : clients_) {
-    for (Conn& conn : client->conns) {
-      if (conn.fd >= 0) ::close(conn.fd);
-      conn.fd = -1;
-    }
-  }
-  for (auto& shard : shards_) {
-    for (auto& [slot, conn] : shard->inbound) {
-      if (conn.fd >= 0) ::close(conn.fd);
-    }
-    shard->inbound.clear();
-    if (shard->listen_fd >= 0) ::close(shard->listen_fd);
-    shard->listen_fd = -1;
+    for (auto& conn : client->conns) conn->close();
   }
 }
 
-// ---- Outbound connections (shard thread) ------------------------------------------
+// ---- Connections (shard thread) --------------------------------------------------
 
 void ClientSwarm::dial(SwarmClient& client, std::size_t replica) {
-  Conn& conn = client.conns[replica];
-  conn.dial_start = now();
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    conn_lost(client, replica);
-    return;
-  }
-  set_nonblocking(fd);
-  set_nodelay(fd);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(table_[replica].port);
-  if (::inet_pton(AF_INET, table_[replica].host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    conn_lost(client, replica);
-    return;
-  }
-  const int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
-  if (rc != 0 && errno != EINPROGRESS) {
-    ::close(fd);
-    conn_lost(client, replica);
-    return;
-  }
-  conn.fd = fd;
-  SwarmClient* raw = &client;
-  conn.slot = client.shard->reactor->add_fd(fd, [this, raw, replica](std::uint32_t events) {
-    conn_event(*raw, replica, events);
-  });
-  if (rc == 0) conn_established(client, replica);
+  client.dialed_at[replica] = now();
+  client.conns[replica]->dial(table_[replica]);
 }
 
-void ClientSwarm::conn_event(SwarmClient& client, std::size_t replica,
-                             std::uint32_t events) {
-  Conn& conn = client.conns[replica];
-  if (conn.fd < 0) return;
-  if (!conn.connected) {
-    if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
-      conn_lost(client, replica);
-      return;
-    }
-    if ((events & EPOLLOUT) != 0) {
-      int err = 0;
-      socklen_t len = sizeof err;
-      if (::getsockopt(conn.fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0 || err != 0) {
-        conn_lost(client, replica);
-        return;
-      }
-      conn_established(client, replica);
-    }
-    return;
-  }
-  if ((events & EPOLLIN) != 0) {
-    // Replies dial back to the shard listener; data here is unexpected, so
-    // this read exists to observe EOF promptly (edge-triggered drain).
-    std::byte sink[1024];
-    for (;;) {
-      const ssize_t n = ::read(conn.fd, sink, sizeof sink);
-      if (n > 0) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      conn_lost(client, replica);
-      return;
-    }
-  }
-  if ((events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP)) != 0) {
-    conn_lost(client, replica);
-    return;
-  }
-  if ((events & EPOLLOUT) != 0) {
-    conn.write_blocked = false;
-    if (!conn.queue.empty()) flush_conn(client, replica);
-  }
-}
-
-void ClientSwarm::conn_established(SwarmClient& client, std::size_t replica) {
-  Conn& conn = client.conns[replica];
-  conn.connected = true;
-  connect_hist_.record_us(us_of(now() - conn.dial_start));
-  connected_.fetch_add(1, std::memory_order_relaxed);
-  count("swarm.connects");
-  if (!conn.queue.empty()) flush_conn(client, replica);
-}
-
-void ClientSwarm::conn_lost(SwarmClient& client, std::size_t replica) {
-  Conn& conn = client.conns[replica];
-  if (conn.fd >= 0) {
-    client.shard->reactor->remove(conn.slot);
-    ::close(conn.fd);
-    conn.fd = -1;
-  }
-  if (conn.connected) {
-    conn.connected = false;
+void ClientSwarm::conn_closed(SwarmClient& client, std::size_t replica,
+                              Connection::Closed why) {
+  if (why == Connection::Closed::kCorrupt) count("swarm.frame_decode_errors");
+  if (why != Connection::Closed::kDialFailed) {
     connected_.fetch_sub(1, std::memory_order_relaxed);
     count("swarm.disconnects");
   }
-  conn.write_blocked = false;
-  conn.flush_pending = false;
-  // Buffered frames ride through the redial: the retransmit timer (if the
-  // bench configured one) regenerates anything the replica never saw.
+  // Queued frames were dropped with the socket: the retransmit timer (if
+  // the bench configured one) regenerates anything the replica never saw.
   SwarmClient* raw = &client;
   client.shard->reactor->timers().add(now() + kRedialDelay, [this, raw, replica] {
-    if (raw->conns[replica].fd < 0) dial(*raw, replica);
+    if (raw->conns[replica]->closed()) dial(*raw, replica);
   });
 }
 
-void ClientSwarm::flush_conn(SwarmClient& client, std::size_t replica) {
-  Conn& conn = client.conns[replica];
-  conn.flush_pending = false;
-  while (!conn.queue.empty()) {
-    struct iovec iov[kMaxFlushIov];
-    const int iov_n = conn.queue.gather(iov, kMaxFlushIov);
-    // MSG_NOSIGNAL: replicas are separate processes in bench_c1; a replica
-    // dying mid-write must surface as EPIPE (-> conn_lost), not SIGPIPE.
-    struct msghdr msg {};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<std::size_t>(iov_n);
-    const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.queue.consume(static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      conn.write_blocked = true;
-      return;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    conn_lost(client, replica);
-    return;
-  }
-}
-
 void ClientSwarm::client_send(SwarmClient& client, ProcessId to, PayloadPtr payload) {
-  if (to >= options_.world_size) {
-    count("swarm.sends_dropped");
-    return;  // swarm clients only ever address the replica group
-  }
-  Conn& conn = client.conns[to];
-  std::vector<std::byte>& segment = conn.queue.tail();
-  const std::size_t mark = segment.size();
-  encode_frame_into(segment, client.id, to, *payload, options_.wire_format);
-  if (!conn.queue.commit(mark)) {
+  if (to >= options_.world_size ||
+      !client.conns[to]->enqueue(client.id, to, *payload, options_.wire_format)) {
+    // Swarm clients only ever address the replica group; a full queue loses
+    // the frame like any in-flight message.
     count("swarm.sends_dropped");
     return;
   }
-  if (conn.connected && !conn.flush_pending) {
-    conn.flush_pending = true;
-    client.shard->dirty.emplace_back(&client, static_cast<std::size_t>(to));
-  }
+  Connection* conn = client.conns[to].get();
+  if (conn->mark_dirty()) client.shard->dirty.push_back(conn);
 }
 
-// ---- Inbound dial-backs (shard thread) --------------------------------------------
-
-void ClientSwarm::accept_ready(Shard& shard) {
-  for (;;) {
-    const int fd = ::accept(shard.listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;  // EAGAIN or a hard error; level-triggered retriggers
-    }
-    set_nonblocking(fd);
-    set_nodelay(fd);
-    InboundConn conn;
-    conn.fd = fd;
-    conn.decoder = std::make_unique<FrameDecoder>(options_.max_frame_length);
-    auto slot_box = std::make_shared<std::uint32_t>(0);
-    Shard* raw = &shard;
-    const std::uint32_t slot =
-        shard.reactor->add_fd(fd, [this, raw, slot_box](std::uint32_t events) {
-          inbound_event(*raw, *slot_box, events);
-        });
-    *slot_box = slot;
-    shard.inbound.emplace(slot, std::move(conn));
-  }
-}
-
-void ClientSwarm::inbound_event(Shard& shard, std::uint32_t slot, std::uint32_t events) {
-  const auto it = shard.inbound.find(slot);
-  if (it == shard.inbound.end()) return;
-  InboundConn& conn = it->second;
-  const auto close_conn = [&] {
-    shard.reactor->remove(slot);
-    if (conn.fd >= 0) ::close(conn.fd);
-    shard.inbound.erase(slot);
-  };
-  if ((events & EPOLLIN) != 0) {
-    std::byte chunk[16384];
-    for (;;) {
-      const ssize_t n = ::read(conn.fd, chunk, sizeof chunk);
-      if (n > 0) {
-        conn.decoder->feed(std::span{chunk, static_cast<std::size_t>(n)});
-        Frame frame;
-        for (;;) {
-          const FrameDecoder::Status status = conn.decoder->next(frame);
-          if (status == FrameDecoder::Status::kFrame) {
-            dispatch(shard, frame.src, frame.dst, *frame.payload);
-            continue;
-          }
-          if (status == FrameDecoder::Status::kError) {
-            count("swarm.frame_decode_errors");
-            close_conn();
-            return;
-          }
-          break;  // kNeedMore
-        }
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      close_conn();  // EOF or hard error
-      return;
-    }
-  }
-  if ((events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP)) != 0) close_conn();
-}
-
-void ClientSwarm::dispatch(Shard& shard, ProcessId src, ProcessId dst,
-                           const Payload& payload) {
-  const std::size_t index = static_cast<std::size_t>(dst) - options_.world_size;
-  if (dst < options_.world_size || index >= clients_.size() ||
-      clients_[index]->shard != &shard) {
+void ClientSwarm::dispatch(SwarmClient& client, const Frame& frame) {
+  if (frame.dst != client.id) {
     count("swarm.misrouted_frames");
     return;
   }
-  SwarmClient& client = *clients_[index];
-  client.node->on_message(*client.ctx, src, payload);
-}
-
-void ClientSwarm::before_wait(Shard& shard) {
-  for (const auto& [client, replica] : shard.dirty) {
-    Conn& conn = client->conns[replica];
-    if (!conn.flush_pending) continue;
-    if (conn.connected && !conn.write_blocked) {
-      flush_conn(*client, replica);
-    } else {
-      conn.flush_pending = false;
-    }
-  }
-  shard.dirty.clear();
+  client.node->on_message(*client.ctx, frame.src, *frame.payload);
 }
 
 // ---- Workload ---------------------------------------------------------------------

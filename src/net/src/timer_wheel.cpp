@@ -72,12 +72,6 @@ void TimerWheel::cascade(std::size_t level, std::size_t slot_index) {
 
 void TimerWheel::advance(TimePoint now) {
   const std::uint64_t now_tick = tick_of(now);
-  if (!started_) {
-    // First use anchors the wheel: ticks before a wheel exists cannot hold
-    // entries, so there is nothing to walk up to.
-    current_tick_ = now_tick;
-    started_ = true;
-  }
   for (;;) {
     if (live_.empty()) {
       // Nothing can fire or cascade; jump.

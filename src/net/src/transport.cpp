@@ -1,12 +1,7 @@
 #include "abdkit/net/transport.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -17,7 +12,6 @@
 
 #include "abdkit/common/backoff.hpp"
 #include "abdkit/common/log.hpp"
-#include "abdkit/net/frame.hpp"
 
 namespace abdkit::net {
 
@@ -29,83 +23,20 @@ using runtime::ClusterEvent;
   throw std::runtime_error{what + ": " + std::strerror(errno)};
 }
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throw_errno("fcntl(O_NONBLOCK)");
-  }
-}
-
-void set_nodelay(int fd) {
-  const int one = 1;
-  // Best effort: latency tuning, not correctness.
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-}
-
-bool fill_sockaddr(const Address& address, sockaddr_in& out) {
-  std::memset(&out, 0, sizeof out);
-  out.sin_family = AF_INET;
-  out.sin_port = htons(address.port);
-  return ::inet_pton(AF_INET, address.host.c_str(), &out.sin_addr) == 1;
-}
-
-/// Upper bound on iovecs per writev — far below IOV_MAX, and enough that
-/// one syscall drains several segments' worth of coalesced frames.
-constexpr int kMaxFlushIov = 64;
-
 /// How long the acceptor stays paused after EMFILE/ENFILE before retrying:
 /// long enough for fds to free up, short enough that a transient spike does
 /// not strand dialing clients in the backlog.
 constexpr auto kAcceptPause = std::chrono::milliseconds{100};
 
-std::uint64_t jitter_seed(const TransportOptions& options, std::size_t domain) noexcept {
+std::uint64_t jitter_seed(const TransportOptions& options) noexcept {
   // Mix self into the stream so identically-configured processes still draw
-  // independent jitter (the whole point of having any); mix the domain index
-  // so satellite reactors' client redials decorrelate from the replica
-  // mesh's. Domain 0 reproduces the old single-loop stream exactly.
+  // independent jitter (the whole point of having any).
   std::uint64_t sm = options.reconnect_jitter_seed ^
                      (0x9e3779b97f4a7c15ULL * (1 + std::uint64_t{options.self}));
-  std::uint64_t seed = splitmix64(sm);  // domain 0 == the old single-loop stream
-  for (std::size_t i = 0; i < domain; ++i) seed = splitmix64(sm);
-  return seed;
+  return splitmix64(sm);
 }
 
 }  // namespace
-
-// ---- Address parsing --------------------------------------------------------------
-
-bool parse_address(const std::string& text, Address& out) {
-  const std::size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == text.size()) return false;
-  const std::string host = text.substr(0, colon);
-  const std::string port_text = text.substr(colon + 1);
-  unsigned long port = 0;
-  for (const char c : port_text) {
-    if (c < '0' || c > '9') return false;
-    port = port * 10 + static_cast<unsigned long>(c - '0');
-    if (port > 65535) return false;
-  }
-  sockaddr_in probe{};
-  if (::inet_pton(AF_INET, host.c_str(), &probe.sin_addr) != 1) return false;
-  out.host = host;
-  out.port = static_cast<std::uint16_t>(port);
-  return true;
-}
-
-bool parse_address_list(const std::string& text, std::vector<Address>& out) {
-  out.clear();
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    std::size_t end = text.find(',', begin);
-    if (end == std::string::npos) end = text.size();
-    Address address;
-    if (!parse_address(text.substr(begin, end - begin), address)) return false;
-    out.push_back(std::move(address));
-    begin = end + 1;
-    if (end == text.size()) break;
-  }
-  return !out.empty();
-}
 
 // ---- Context adapter --------------------------------------------------------------
 
@@ -148,6 +79,7 @@ Duration next_reconnect_backoff(Duration previous, Duration floor, Duration cap,
 
 Transport::Transport(TransportOptions options, std::unique_ptr<Actor> actor)
     : options_{std::move(options)},
+      reconnect_rng_{jitter_seed(options_)},
       actor_{std::move(actor)},
       context_{std::make_unique<NetContext>(*this)},
       epoch_{std::chrono::steady_clock::now()} {
@@ -158,7 +90,6 @@ Transport::Transport(TransportOptions options, std::unique_ptr<Actor> actor)
   for (std::size_t i = 0; i < reactors; ++i) {
     auto domain = std::make_unique<Domain>();
     domain->index = i;
-    domain->reconnect_rng = Rng{jitter_seed(options_, i)};
     domain->reactor = std::make_unique<Reactor>([this] { return now(); });
     Domain* raw = domain.get();
     domain->reactor->set_before_wait([this, raw] { before_wait(*raw); });
@@ -173,12 +104,12 @@ Transport::~Transport() {
 
 std::uint16_t Transport::bind(const Address& listen) {
   if (listen_fd_ >= 0) throw std::logic_error{"Transport: bind called twice"};
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) throw_errno("socket");
   const int one = 1;
   (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
   sockaddr_in addr{};
-  if (!fill_sockaddr(listen, addr)) {
+  if (!to_sockaddr(listen, addr)) {
     ::close(fd);
     throw std::invalid_argument{"Transport: bad listen address " + listen.host};
   }
@@ -197,7 +128,6 @@ std::uint16_t Transport::bind(const Address& listen) {
     ::close(fd);
     throw_errno("getsockname");
   }
-  set_nonblocking(fd);
   listen_fd_ = fd;
   listen_port_ = ntohs(bound.sin_port);
   return listen_port_;
@@ -205,24 +135,42 @@ std::uint16_t Transport::bind(const Address& listen) {
 
 void Transport::start(std::vector<Address> peers) {
   if (started_) throw std::logic_error{"Transport: start called twice"};
-  if (listen_fd_ < 0) throw std::logic_error{"Transport: start before bind"};
-  if (peers.size() < options_.world_size || options_.self >= peers.size()) {
+  if (options_.self < options_.world_size && listen_fd_ < 0) {
+    throw std::logic_error{"Transport: replica start before bind"};
+  }
+  if (peers.size() < options_.world_size) {
     throw std::invalid_argument{"Transport: address table too small"};
   }
   table_ = std::move(peers);
-  peers_.resize(table_.size());
-  for (Peer& peer : peers_) peer.queue.set_limit(options_.max_send_buffer);
+  mesh_.resize(options_.world_size);
+  for (ProcessId p = 0; p < options_.world_size; ++p) {
+    if (p == options_.self) continue;
+    Peer& peer = mesh_[p];
+    peer.conn = make_connection(
+        home(), {.on_connected =
+                     [this, &peer] {
+                       count(peer.ever_connected ? "net.reconnects" : "net.connects");
+                       peer.ever_connected = true;
+                       peer.backoff = Duration::zero();
+                     },
+                 .on_frame = [this](Frame& frame) { deliver(frame); },
+                 .on_closed = [this, p](Connection::Closed why) {
+                   peer_closed(p, *mesh_[p].conn, why);
+                 }});
+  }
 
   // Pre-thread registration is safe: no loop is running yet. Level-
   // triggered, so pausing/resuming the acceptor needs no re-arm protocol.
-  listen_slot_ = home().reactor->add_fd(
-      listen_fd_, [this](std::uint32_t) { accept_ready(); }, /*edge_triggered=*/false);
+  if (listen_fd_ >= 0) {
+    listen_slot_ = home().reactor->add_fd(
+        listen_fd_, [this](std::uint32_t) { accept_ready(); }, /*edge_triggered=*/false);
+  }
 
   // First thing the home loop does: join the replica mesh, then hand the
-  // actor its Context (the old loop()'s preamble, now a post).
+  // actor its Context.
   home().reactor->post([this] {
     for (ProcessId p = 0; p < options_.world_size; ++p) {
-      if (p != options_.self) begin_connect(home(), p);
+      if (p != options_.self) dial(p);
     }
     actor_->on_start(*context_);
   });
@@ -242,20 +190,15 @@ void Transport::stop() {
     if (domain->thread.joinable()) domain->thread.join();
   }
   publish_reactor_stats();
-  close_all_fds();
+  close_all();
 }
 
-void Transport::close_all_fds() {
-  for (Peer& peer : peers_) {
-    if (peer.fd >= 0) ::close(peer.fd);
-    peer.fd = -1;
-    peer.state = PeerState::kIdle;
-  }
+void Transport::close_all() {
+  mesh_.clear();
   for (auto& domain : domains_) {
-    for (auto& [slot, conn] : domain->inbound) {
-      if (conn.fd >= 0) ::close(conn.fd);
-    }
-    domain->inbound.clear();
+    domain->dirty.clear();
+    domain->accepted.clear();
+    domain->closed.clear();
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
   listen_fd_ = -1;
@@ -271,10 +214,6 @@ void Transport::post(std::function<void()> fn) {
 void Transport::set_faults(FaultPlan plan) {
   post([this, plan = std::move(plan)]() mutable {
     faults_ = std::move(plan);
-    fault_blocked_.assign(table_.size(), false);
-    for (const ProcessId p : faults_.blocked) {
-      if (p < fault_blocked_.size()) fault_blocked_[p] = true;
-    }
     // Re-seeded per install: with a fixed plan seed the drop pattern for a
     // chaos window is reproducible run to run.
     fault_rng_ = Rng{faults_.seed ^
@@ -288,26 +227,32 @@ TimePoint Transport::now() const {
 
 Transport::SendQueueStats Transport::send_queue_stats(ProcessId peer) const {
   SendQueueStats stats;
-  if (peer < peers_.size()) {
-    stats.queued_bytes = peers_[peer].queue.queued_bytes();
-    stats.resident_bytes = peers_[peer].queue.resident_bytes();
-    stats.frames_committed = peers_[peer].queue.frames_committed();
+  if (peer < mesh_.size() && mesh_[peer].conn != nullptr) {
+    const SendQueue& queue = mesh_[peer].conn->queue();
+    stats.queued_bytes = queue.queued_bytes();
+    stats.resident_bytes = queue.resident_bytes();
+    stats.frames_committed = queue.frames_committed();
   }
   return stats;
 }
 
-std::size_t Transport::owner_of(ProcessId peer) const noexcept {
-  // Replica-mesh peers stay on home with the actor: their lifecycle is
-  // protocol-critical (eager dial, forever-redial, chaos injection) and
-  // their count is the paper's n, not the fan-in. Client peers shard.
-  if (peer < options_.world_size) return 0;
-  return static_cast<std::size_t>(peer) % domains_.size();
+std::unique_ptr<Connection> Transport::make_connection(Domain& domain,
+                                                       Connection::Callbacks callbacks) {
+  return std::make_unique<Connection>(*domain.reactor, std::move(callbacks),
+                                      options_.max_send_buffer, options_.max_frame_length,
+                                      options_.metrics);
 }
 
 // ---- Metrics / tracing ------------------------------------------------------------
 
 void Transport::count(std::string_view name, std::uint64_t delta) {
   if (options_.metrics != nullptr) options_.metrics->add(name, delta);
+}
+
+void Transport::count_corrupt(const Connection& conn) {
+  ABDKIT_LOG(LogLevel::kWarn, "net", "p", options_.self,
+             ": closed a corrupt stream: ", conn.decode_error());
+  count("net.frame_decode_errors");
 }
 
 void Transport::observe(ClusterEvent::Kind kind, ProcessId from, ProcessId to,
@@ -343,71 +288,57 @@ void Transport::publish_reactor_stats() {
 // ---- Context surface (home thread) ------------------------------------------------
 
 void Transport::send(ProcessId to, PayloadPtr payload) {
-  if (to >= table_.size()) {
-    count("net.sends_dropped");
-    observe(ClusterEvent::Kind::kDrop, options_.self, to, payload);
-    return;
-  }
   observe(ClusterEvent::Kind::kSend, options_.self, to, payload);
   if (to == options_.self) {
     self_queue_.push_back(std::move(payload));
     return;
   }
   if (faults_.active()) {
-    // Chaos hook (see FaultPlan): eat the frame before it reaches a peer
-    // queue, exactly where real network loss would. Blocked destinations
-    // model a partition; the probabilistic stream models a lossy link.
-    if ((to < fault_blocked_.size() && fault_blocked_[to]) ||
+    // Chaos hook (see FaultPlan): eat the frame before it reaches a queue,
+    // exactly where real network loss would. Blocked destinations model a
+    // partition; the probabilistic stream models a lossy link.
+    if (std::find(faults_.blocked.begin(), faults_.blocked.end(), to) !=
+            faults_.blocked.end() ||
         (faults_.drop_probability > 0.0 && fault_rng_.chance(faults_.drop_probability))) {
       count("net.faults_dropped");
       observe(ClusterEvent::Kind::kDrop, options_.self, to, payload);
       return;
     }
   }
-  const std::size_t owner = owner_of(to);
-  if (owner != 0) {
-    // Remote-owned client peer: encode here (home pays the cheap encode,
-    // the owner pays the syscalls) and stage the bytes; before_wait hands
-    // each dirty destination to its owner in one post per cycle.
-    StagedBytes& staged = staged_[to];
-    encode_frame_into(staged.bytes, options_.self, to, *payload, options_.wire_format);
-    ++staged.frames;
-    if (!staged.staged_dirty) {
-      staged.staged_dirty = true;
-      staged_dirty_.push_back(to);
+  Connection* conn = nullptr;
+  if (to < options_.world_size) {
+    conn = mesh_[to].conn.get();
+  } else if (const auto route = routes_.find(to); route != routes_.end()) {
+    if (route->second.domain != 0) {
+      // The client's connection lives on another reactor: encode here (home
+      // pays the cheap encode, the owner pays the syscalls) and stage the
+      // bytes; before_wait hands them over in one post per cycle.
+      StagedBytes& staged = staged_[to];
+      encode_frame_into(staged.bytes, options_.self, to, *payload, options_.wire_format);
+      ++staged.frames;
+      if (!staged.staged_dirty) {
+        staged.staged_dirty = true;
+        staged_dirty_.push_back(to);
+      }
+      count("net.frames_out");
+      return;
     }
-    count("net.frames_out");
-    return;
+    const auto it = home().accepted.find(route->second.conn);
+    if (it != home().accepted.end()) conn = it->second.get();
   }
-  Peer& peer = peers_[to];
-  // Encode straight into the peer's segment queue; commit() rejects (and
-  // removes) the frame if it would breach max_send_buffer.
-  std::vector<std::byte>& segment = peer.queue.tail();
-  const std::size_t mark = segment.size();
-  encode_frame_into(segment, options_.self, to, *payload, options_.wire_format);
-  if (!peer.queue.commit(mark)) {
+  if (conn == nullptr ||
+      !conn->enqueue(options_.self, to, *payload, options_.wire_format)) {
+    // No route to the client (it never wrote, or its connection closed), or
+    // the connection's byte cap is full.
     count("net.sends_dropped");
     observe(ClusterEvent::Kind::kDrop, options_.self, to, payload);
     return;
   }
   count("net.frames_out");
-  switch (peer.state) {
-    case PeerState::kIdle:
-      begin_connect(home(), to);
-      break;
-    case PeerState::kConnected:
-      // Deferred: the before-wait flush pass runs one coalesced writev per
-      // peer per cycle, so a burst of sends (a broadcast, pipelined ops)
-      // shares syscalls instead of paying one write(2) per frame.
-      if (!peer.flush_pending) {
-        peer.flush_pending = true;
-        home().dirty_peers.push_back(to);
-      }
-      break;
-    case PeerState::kConnecting:
-    case PeerState::kBackoff:
-      break;  // buffered; flushed on connect, dropped if the dial fails
-  }
+  // Deferred: the before-wait flush pass runs one coalesced sendmsg per
+  // connection per cycle, so a burst of sends (a broadcast, pipelined ops)
+  // shares syscalls instead of paying one write(2) per frame.
+  if (conn->mark_dirty()) home().dirty.push_back(conn);
 }
 
 void Transport::broadcast(PayloadPtr payload) {
@@ -434,196 +365,33 @@ void Transport::cancel_timer(TimerId id) {
   }
 }
 
-// ---- Connection management (owner reactor's thread) -------------------------------
+// ---- Replica mesh (home thread) ---------------------------------------------------
 
-void Transport::begin_connect(Domain& domain, ProcessId peer_id) {
-  Peer& peer = peers_[peer_id];
+void Transport::dial(ProcessId peer) {
   count("net.connect_attempts");
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    peer_failed(domain, peer_id, false);
-    return;
-  }
-  set_nonblocking(fd);
-  set_nodelay(fd);
-  sockaddr_in addr{};
-  if (!fill_sockaddr(table_[peer_id], addr)) {
-    ::close(fd);
-    peer_failed(domain, peer_id, false);
-    return;
-  }
-  const int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
-  if (rc != 0 && errno != EINPROGRESS) {
-    ::close(fd);
-    peer_failed(domain, peer_id, false);
-    return;
-  }
-  peer.fd = fd;
-  peer.slot = domain.reactor->add_fd(
-      fd, [this, &domain, peer_id](std::uint32_t events) {
-        peer_event(domain, peer_id, events);
-      });
-  if (rc == 0) {
-    peer_connected(domain, peer_id);
-  } else {
-    peer.state = PeerState::kConnecting;  // EPOLLOUT edge completes the dial
-  }
+  mesh_[peer].conn->dial(table_[peer]);
 }
 
-void Transport::peer_connected(Domain& domain, ProcessId peer_id) {
-  Peer& peer = peers_[peer_id];
-  peer.state = PeerState::kConnected;
-  count(peer.ever_connected ? "net.reconnects" : "net.connects");
-  peer.ever_connected = true;
-  peer.backoff = Duration::zero();
-  flush_peer(domain, peer_id);
+void Transport::peer_closed(ProcessId peer_id, const Connection& conn,
+                            Connection::Closed why) {
+  if (why == Connection::Closed::kCorrupt) count_corrupt(conn);
+  // Keep redialing forever, so a restarted replica is readopted without
+  // coordination. Decorrelated jitter, not bare doubling: replicas that lost
+  // the same peer at the same instant must not redial in lockstep
+  // (thundering herd on the restarted listener).
+  Peer& peer = mesh_[peer_id];
+  peer.backoff = next_reconnect_backoff(peer.backoff, options_.reconnect_min,
+                                        options_.reconnect_max, reconnect_rng_);
+  home().reactor->timers().add(now() + peer.backoff, [this, peer_id] {
+    if (mesh_[peer_id].conn->closed()) dial(peer_id);
+  });
 }
 
-void Transport::peer_failed(Domain& domain, ProcessId peer_id, bool was_connected) {
-  Peer& peer = peers_[peer_id];
-  if (peer.fd >= 0) {
-    domain.reactor->remove(peer.slot);
-    ::close(peer.fd);
-    peer.fd = -1;
-  }
-  if (was_connected) count("net.disconnects");
-  // Whatever was queued counts as in-flight loss — the crash-fault model.
-  if (!peer.queue.empty()) count("net.dropped_bytes", peer.queue.queued_bytes());
-  peer.queue.clear();
-  peer.flush_pending = false;
-  peer.write_blocked = false;
-  if (peer_id < options_.world_size) {
-    // Replica mesh: keep redialing forever, so a restarted replica is
-    // readopted without coordination. Decorrelated jitter, not bare
-    // doubling: replicas that lost the same peer at the same instant must
-    // not redial in lockstep (thundering-herd on the restarted listener).
-    // The redial deadline is a wheel timer — the old loop re-derived it by
-    // scanning every peer each cycle to compute the poll timeout.
-    peer.backoff = next_reconnect_backoff(peer.backoff, options_.reconnect_min,
-                                          options_.reconnect_max, domain.reconnect_rng);
-    peer.state = PeerState::kBackoff;
-    peer.redial_timer = domain.reactor->timers().add(
-        now() + peer.backoff, [this, &domain, peer_id] {
-          peers_[peer_id].redial_timer = 0;
-          if (peers_[peer_id].state == PeerState::kBackoff) {
-            begin_connect(domain, peer_id);
-          }
-        });
-  } else {
-    // Client-only peers are dialed on demand; a vanished client costs nothing.
-    peer.state = PeerState::kIdle;
-  }
-}
-
-void Transport::peer_event(Domain& domain, ProcessId peer_id, std::uint32_t events) {
-  Peer& peer = peers_[peer_id];
-  if (peer.fd < 0) return;  // stale edge for a peer already torn down
-  if (peer.state == PeerState::kConnecting) {
-    if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
-      peer_failed(domain, peer_id, false);
-      return;
-    }
-    if ((events & EPOLLOUT) != 0) {
-      int err = 0;
-      socklen_t len = sizeof err;
-      if (::getsockopt(peer.fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0 || err != 0) {
-        peer_failed(domain, peer_id, false);
-        return;
-      }
-      peer_connected(domain, peer_id);
-    }
-    return;
-  }
-  if ((events & EPOLLIN) != 0) {
-    // We never expect data on the dialer side; reading here exists to
-    // observe EOF/reset promptly. Edge-triggered: drain until EAGAIN.
-    std::byte sink[1024];
-    for (;;) {
-      const ssize_t n = ::read(peer.fd, sink, sizeof sink);
-      if (n > 0) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      peer_failed(domain, peer_id, true);  // EOF or hard error
-      return;
-    }
-  }
-  if ((events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP)) != 0) {
-    peer_failed(domain, peer_id, true);
-    return;
-  }
-  if ((events & EPOLLOUT) != 0) {
-    peer.write_blocked = false;
-    if (!peer.queue.empty()) flush_peer(domain, peer_id);
-  }
-}
-
-void Transport::flush_peer(Domain& domain, ProcessId peer_id) {
-  Peer& peer = peers_[peer_id];
-  peer.flush_pending = false;
-  while (!peer.queue.empty()) {
-    struct iovec iov[kMaxFlushIov];
-    const int iov_n = peer.queue.gather(iov, kMaxFlushIov);
-    // sendmsg(MSG_NOSIGNAL), not writev: a peer process can die between our
-    // readiness check and this write, and a SIGPIPE would kill the whole
-    // process instead of surfacing EPIPE to the reconnect path.
-    struct msghdr msg {};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<std::size_t>(iov_n);
-    const ssize_t n = ::sendmsg(peer.fd, &msg, MSG_NOSIGNAL);
-    if (n > 0) {
-      // Consumed segments are released inside the queue immediately — a
-      // partial write never pins the already-written prefix.
-      peer.queue.consume(static_cast<std::size_t>(n));
-      count("net.bytes_out", static_cast<std::uint64_t>(n));
-      count("net.writev_calls");
-      count("net.writev_iovecs", static_cast<std::uint64_t>(iov_n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Edge-triggered: no more syscalls until the next EPOLLOUT edge.
-      peer.write_blocked = true;
-      return;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    peer_failed(domain, peer_id, true);
-    return;
-  }
-}
-
-void Transport::enqueue_bytes(Domain& domain, ProcessId peer_id, const std::byte* data,
-                              std::size_t size, std::uint64_t frames) {
-  Peer& peer = peers_[peer_id];
-  std::vector<std::byte>& segment = peer.queue.tail();
-  const std::size_t mark = segment.size();
-  segment.insert(segment.end(), data, data + size);
-  if (!peer.queue.commit(mark)) {
-    // Cap breach drops the whole staged chunk — the same loss model as the
-    // per-frame drop, at hand-off granularity. (Counted, not observed: the
-    // observer contract is home-thread-only.)
-    count("net.sends_dropped", frames);
-    return;
-  }
-  switch (peer.state) {
-    case PeerState::kIdle:
-      begin_connect(domain, peer_id);
-      break;
-    case PeerState::kConnected:
-      if (!peer.flush_pending) {
-        peer.flush_pending = true;
-        domain.dirty_peers.push_back(peer_id);
-      }
-      break;
-    case PeerState::kConnecting:
-    case PeerState::kBackoff:
-      break;
-  }
-}
-
-// ---- Inbound path -----------------------------------------------------------------
+// ---- Accepted connections ---------------------------------------------------------
 
 void Transport::accept_ready() {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR || errno == ECONNABORTED) continue;
@@ -636,18 +404,17 @@ void Transport::accept_ready() {
       }
       return;
     }
-    set_nonblocking(fd);
-    set_nodelay(fd);
     count("net.accepts");
     // Round-robin shard: each accepted connection is owned (read, decoded,
-    // service-modeled) by exactly one reactor for its whole lifetime.
+    // written, service-modeled) by exactly one reactor for its lifetime.
     Domain& domain = *domains_[next_inbound_domain_];
     next_inbound_domain_ = (next_inbound_domain_ + 1) % domains_.size();
+    const std::uint64_t id = next_conn_id_++;
     if (&domain == &home()) {
-      adopt_inbound(domain, fd);
+      adopt(domain, fd, id);
     } else {
       Domain* raw = &domain;
-      domain.reactor->post([this, raw, fd] { adopt_inbound(*raw, fd); });
+      domain.reactor->post([this, raw, fd, id] { adopt(*raw, fd, id); });
     }
   }
 }
@@ -664,90 +431,79 @@ void Transport::pause_accepting() {
   });
 }
 
-void Transport::adopt_inbound(Domain& domain, int fd) {
-  Inbound conn;
-  conn.fd = fd;
-  conn.decoder = std::make_unique<FrameDecoder>(options_.max_frame_length);
-  auto slot_box = std::make_shared<std::uint32_t>(0);
+void Transport::adopt(Domain& domain, int fd, std::uint64_t id) {
   Domain* raw = &domain;
-  const std::uint32_t slot = domain.reactor->add_fd(
-      fd, [this, raw, slot_box](std::uint32_t events) {
-        inbound_event(*raw, *slot_box, events);
-      });
-  *slot_box = slot;
-  domain.inbound.emplace(slot, std::move(conn));
+  auto conn = make_connection(
+      domain, {.on_frame = [this, raw, id](Frame& frame) {
+                 accepted_frame(*raw, id, frame);
+               },
+               .on_closed = [this, raw, id](Connection::Closed why) {
+                 accepted_closed(*raw, id, why);
+               }});
+  conn->adopt(fd);
+  domain.accepted.emplace(id, std::move(conn));
 }
 
-void Transport::close_inbound(Domain& domain, std::uint32_t slot) {
-  const auto it = domain.inbound.find(slot);
-  if (it == domain.inbound.end()) return;
-  domain.reactor->remove(slot);
-  if (it->second.fd >= 0) ::close(it->second.fd);
-  domain.inbound.erase(it);
+void Transport::accepted_frame(Domain& domain, std::uint64_t id, Frame& frame) {
+  if (&domain == &home()) {
+    received(Route{0, id}, frame);
+  } else {
+    // Decoded off-thread; delivered to the actor in one home post per cycle
+    // (before_wait ships the batch).
+    domain.inbound.push_back(Inbound{id, std::move(frame)});
+  }
+  // Modeled per-frame service time (bench_c1), charged to the owning
+  // reactor and slept in before_wait.
+  domain.service_debt += options_.inbound_service_time;
 }
 
-void Transport::inbound_event(Domain& domain, std::uint32_t slot, std::uint32_t events) {
-  const auto it = domain.inbound.find(slot);
-  if (it == domain.inbound.end()) return;
-  Inbound& conn = it->second;
-  std::uint64_t decoded = 0;
-  if ((events & EPOLLIN) != 0) {
-    std::byte chunk[16384];
-    for (;;) {
-      const ssize_t n = ::read(conn.fd, chunk, sizeof chunk);
-      if (n > 0) {
-        count("net.read_calls");
-        count("net.bytes_in", static_cast<std::uint64_t>(n));
-        conn.decoder->feed(std::span{chunk, static_cast<std::size_t>(n)});
-        Frame frame;
-        for (;;) {
-          const FrameDecoder::Status status = conn.decoder->next(frame);
-          if (status == FrameDecoder::Status::kFrame) {
-            ++decoded;
-            if (&domain == &home()) {
-              deliver(frame);
-            } else {
-              // Decoded off-thread; delivered to the actor in one home post
-              // per cycle (before_wait flushes the batch).
-              domain.delivery_batch.push_back(std::move(frame));
-            }
-            continue;
-          }
-          if (status == FrameDecoder::Status::kError) {
-            ABDKIT_LOG(LogLevel::kWarn, "net", "p", options_.self,
-                       ": closing corrupt inbound stream: ", conn.decoder->error());
-            count("net.frame_decode_errors");
-            close_inbound(domain, slot);
-            return;
-          }
-          break;  // kNeedMore
-        }
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      close_inbound(domain, slot);  // EOF or hard error: the peer is gone
-      return;
-    }
+void Transport::accepted_closed(Domain& domain, std::uint64_t id,
+                                Connection::Closed why) {
+  const auto it = domain.accepted.find(id);
+  if (why == Connection::Closed::kCorrupt) count_corrupt(*it->second);
+  // Release the route this connection carried, in order behind its frames.
+  Frame closed;
+  closed.src = it->second->last_src();
+  if (&domain == &home()) {
+    received(Route{0, id}, closed);
+  } else {
+    domain.inbound.push_back(Inbound{id, std::move(closed)});
   }
-  // Modeled per-frame service time (bench_c1): charge the owning reactor,
-  // sleeping in >= 1 ms chunks so short debts accumulate instead of
-  // busy-spinning sub-millisecond sleeps.
-  if (decoded > 0 && options_.inbound_service_time > Duration::zero()) {
-    domain.service_debt += static_cast<std::int64_t>(decoded) * options_.inbound_service_time;
-    if (domain.service_debt >= std::chrono::milliseconds{1}) {
-      const auto sleep_for = domain.service_debt;
-      domain.service_debt = Duration::zero();
-      std::this_thread::sleep_for(sleep_for);
-    }
+  domain.closed.push_back(std::move(it->second));
+  domain.accepted.erase(it);
+}
+
+void Transport::enqueue_staged(Domain& domain, std::uint64_t conn,
+                               const std::vector<std::byte>& bytes, std::uint64_t frames) {
+  const auto it = domain.accepted.find(conn);
+  if (it == domain.accepted.end() || !it->second->enqueue_bytes(bytes)) {
+    // The client's connection closed since home routed to it, or its cap is
+    // full: the whole chunk is lost, like any in-flight message. (Counted,
+    // not observed: the observer contract is home-thread-only.)
+    count("net.sends_dropped", frames);
+    return;
   }
-  if ((events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP)) != 0) {
-    close_inbound(domain, slot);
+  if (it->second->mark_dirty()) domain.dirty.push_back(it->second.get());
+}
+
+// ---- Routes and delivery (home thread) --------------------------------------------
+
+void Transport::received(const Route& via, const Frame& frame) {
+  if (frame.payload == nullptr) {
+    // The connection closed: release its route unless a newer connection
+    // from the same client took it over.
+    const auto it = routes_.find(frame.src);
+    if (it != routes_.end() && it->second.conn == via.conn) routes_.erase(it);
+    return;
   }
+  if (frame.src >= options_.world_size && frame.dst == options_.self) {
+    routes_[frame.src] = via;
+  }
+  deliver(frame);
 }
 
 void Transport::deliver(const Frame& frame) {
-  if (frame.dst != options_.self || frame.src >= table_.size()) {
+  if (frame.dst != options_.self) {
     count("net.misrouted_frames");
     return;
   }
@@ -768,44 +524,43 @@ void Transport::drain_self_queue() {
 }
 
 void Transport::before_wait(Domain& domain) {
+  if (domain.service_debt >= std::chrono::milliseconds{1}) {
+    std::this_thread::sleep_for(std::exchange(domain.service_debt, Duration::zero()));
+  }
   if (&domain == &home()) {
     // Self-delivery first: it can enqueue more sends, which the passes
     // below then stage and flush in this same cycle.
     drain_self_queue();
-    // Hand each dirty remote-owned destination's staged bytes to its owner
-    // — one post per destination per cycle, not per frame.
-    for (const ProcessId peer_id : staged_dirty_) {
-      StagedBytes& staged = staged_[peer_id];
+    // Hand each remote-owned client's staged replies to the reactor that
+    // owns its connection now — one post per client per cycle.
+    for (const ProcessId client : staged_dirty_) {
+      StagedBytes& staged = staged_[client];
       staged.staged_dirty = false;
-      Domain* owner = domains_[owner_of(peer_id)].get();
-      owner->reactor->post([this, owner, peer_id, bytes = std::move(staged.bytes),
-                            frames = staged.frames] {
-        enqueue_bytes(*owner, peer_id, bytes.data(), bytes.size(), frames);
-      });
+      const auto route = routes_.find(client);
+      if (route == routes_.end()) {
+        count("net.sends_dropped", staged.frames);
+      } else {
+        Domain* owner = domains_[route->second.domain].get();
+        owner->reactor->post([this, owner, conn = route->second.conn,
+                              bytes = std::move(staged.bytes), frames = staged.frames] {
+          enqueue_staged(*owner, conn, bytes, frames);
+        });
+      }
       staged.bytes = {};
       staged.frames = 0;
     }
     staged_dirty_.clear();
   }
-  // One coalesced writev pass over everything this cycle enqueued for the
-  // peers this domain owns — always before the loop can sleep.
-  for (const ProcessId peer_id : domain.dirty_peers) {
-    Peer& peer = peers_[peer_id];
-    if (!peer.flush_pending) continue;
-    if (peer.state == PeerState::kConnected && !peer.write_blocked) {
-      flush_peer(domain, peer_id);
-    } else {
-      peer.flush_pending = false;  // flushed on connect / next EPOLLOUT edge
-    }
-  }
-  domain.dirty_peers.clear();
-  // Satellite reactors: ship this cycle's decoded frames to the actor.
-  if (!domain.delivery_batch.empty()) {
-    home().reactor->post(
-        [this, batch = std::move(domain.delivery_batch)] {
-          for (const Frame& frame : batch) deliver(frame);
-        });
-    domain.delivery_batch = {};
+  // One coalesced sendmsg pass over everything this cycle enqueued on the
+  // connections this domain owns — always before the loop can sleep.
+  Connection::flush_dirty(domain.dirty);
+  domain.closed.clear();
+  // Satellite reactors: ship this cycle's frames and closes to home.
+  if (!domain.inbound.empty()) {
+    home().reactor->post([this, index = domain.index, batch = std::move(domain.inbound)] {
+      for (const Inbound& event : batch) received(Route{index, event.conn}, event.frame);
+    });
+    domain.inbound = {};
   }
 }
 

@@ -9,7 +9,9 @@
 # with a different seed, against the warm surviving majority — still
 # completes and stays linearizable. Exercises the real binaries end to end:
 # argument parsing, TCP listen/dial, reconnect backoff, retransmission
-# liveness, and the embedded linearizability check.
+# liveness, and the embedded linearizability check. The peer table lists
+# only the 3 replicas: the CLI (id 3) has no entry and listens nowhere, and
+# its replies ride back on its own connections.
 set -u
 
 if [[ $# -ne 2 ]]; then
@@ -20,7 +22,7 @@ NODE_BIN=$1
 CLI_BIN=$2
 
 source "$(dirname "$0")/smoke_lib.sh"
-smoke_peers 4
+smoke_peers 3
 
 echo "== starting 3 replicas on $PEERS"
 for id in 0 1 2; do

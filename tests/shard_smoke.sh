@@ -10,7 +10,8 @@
 # one replica of group 0 (the paper's crash fault, f = 1 per group) and
 # asserts a second workload spanning ALL shards — including keys owned by
 # the degraded group — still completes and stays linearizable: group 0
-# serves from its surviving 2/3 majority while group 1 is untouched.
+# serves from its surviving 2/3 majority while group 1 is untouched. The
+# peer table lists only the 6 replicas; the CLI (id 6) has no entry.
 set -u
 
 if [[ $# -ne 2 ]]; then
@@ -21,7 +22,7 @@ NODE_BIN=$1
 CLI_BIN=$2
 
 source "$(dirname "$0")/smoke_lib.sh"
-smoke_peers 7
+smoke_peers 6
 
 echo "== starting 6 replicas (2 quorum groups of 3) on $PEERS"
 for id in 0 1 2 3 4 5; do

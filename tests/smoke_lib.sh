@@ -4,7 +4,7 @@
 #
 #   NODE_BIN=$1
 #   source "$(dirname "$0")/smoke_lib.sh"
-#   smoke_peers 4                      # sets PEERS to 4 host:port entries
+#   smoke_peers 3                      # sets PEERS to 3 host:port entries
 #   spawn_node --id 0 --replicas 3 --peers "$PEERS"
 #   wait_ready 0 1 2                   # poll the listen sockets (no sleeps)
 #   kill_node 2                        # SIGKILL by replica id
@@ -44,7 +44,7 @@ smoke_cleanup() {
 trap smoke_cleanup EXIT
 
 # smoke_peers <n>: set PEERS to n comma-separated 127.0.0.1:port entries
-# starting at PORT_BASE (index == replica id; extra entries serve clients).
+# starting at PORT_BASE (index == replica id; clients need no entry).
 smoke_peers() {
   PEERS="127.0.0.1:$PORT_BASE"
   local i

@@ -11,16 +11,25 @@
 #include <vector>
 
 #include "abdkit/abd/node.hpp"
+#include "abdkit/abd/sync_register.hpp"
 #include "abdkit/common/metrics.hpp"
 #include "abdkit/harness/deployment.hpp"
 #include "abdkit/runtime/cluster.hpp"
-#include "abdkit/runtime/sync_register.hpp"
 #include "abdkit/trace/cluster_trace.hpp"
 
 namespace abdkit {
 namespace {
 
 using namespace std::chrono_literals;
+
+/// The blocking facade over the node `cluster` hosts at `host`.
+abd::SyncRegister sync_register(runtime::Cluster& cluster, ProcessId host,
+                                abd::RegisterNode& node) {
+  return {[&cluster, host](std::function<void()> fn) {
+            cluster.post(host, std::move(fn));
+          },
+          node};
+}
 
 // ---- Registry ---------------------------------------------------------------
 
@@ -220,8 +229,8 @@ TEST(MetricsParity, SimAndClusterRecordTheSameKeys) {
                            }};
   cluster.start();
   {
-    runtime::SyncRegister writer{cluster, 0, *nodes[0]};
-    runtime::SyncRegister reader{cluster, 1, *nodes[1]};
+    abd::SyncRegister writer = sync_register(cluster, 0, *nodes[0]);
+    abd::SyncRegister reader = sync_register(cluster, 1, *nodes[1]);
     ASSERT_TRUE(writer.write(0, Value{.data = 5}, 5s).has_value());
     ASSERT_TRUE(reader.read(0, 5s).has_value());
   }
@@ -267,8 +276,8 @@ TEST(ClusterTrace, RecordsProtocolEventsAndRoundTripsJsonl) {
   recorder.attach(cluster);  // must precede start()
   cluster.start();
   {
-    runtime::SyncRegister writer{cluster, 0, *nodes[0]};
-    runtime::SyncRegister reader{cluster, 2, *nodes[2]};
+    abd::SyncRegister writer = sync_register(cluster, 0, *nodes[0]);
+    abd::SyncRegister reader = sync_register(cluster, 2, *nodes[2]);
     ASSERT_TRUE(writer.write(0, Value{.data = 8}, 5s).has_value());
     ASSERT_TRUE(reader.read(0, 5s).has_value());
   }
@@ -312,7 +321,7 @@ TEST(ClusterTrace, ObserverSeesCrashAndDrop) {
   cluster.start();
   cluster.crash(2);
   {
-    runtime::SyncRegister writer{cluster, 0, *nodes[0]};
+    abd::SyncRegister writer = sync_register(cluster, 0, *nodes[0]);
     ASSERT_TRUE(writer.write(0, Value{.data = 1}, 5s).has_value());
   }
   cluster.stop();

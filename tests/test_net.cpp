@@ -10,12 +10,15 @@
 // plus a client transport, every message over loopback TCP — runs a
 // write/read workload, is linearizable, keeps completing operations after
 // one replica is stopped (the crash fault), and reports net.* counters
-// through the PR-1 metrics registry.
+// through the metrics registry. The client neither listens nor has a table
+// entry: replies ride back on the connections its requests went out on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <functional>
 #include <future>
 #include <memory>
 #include <thread>
@@ -23,6 +26,7 @@
 
 #include "abdkit/abd/messages.hpp"
 #include "abdkit/abd/node.hpp"
+#include "abdkit/abd/sync_register.hpp"
 #include "abdkit/checker/history.hpp"
 #include "abdkit/checker/linearizability.hpp"
 #include "abdkit/common/metrics.hpp"
@@ -31,7 +35,6 @@
 #include "abdkit/net/frame.hpp"
 #include "abdkit/net/send_queue.hpp"
 #include "abdkit/net/swarm.hpp"
-#include "abdkit/net/sync_node.hpp"
 #include "abdkit/net/transport.hpp"
 #include "abdkit/quorum/quorum_system.hpp"
 #include "abdkit/trace/cluster_trace.hpp"
@@ -205,21 +208,34 @@ TEST(Address, ParsesAndRejects) {
 
 // ---- Transport integration ---------------------------------------------------
 
+/// The blocking facade over the node `transport` hosts.
+abd::SyncRegister sync_register(Transport& transport, abd::RegisterNode& node) {
+  return {[&transport](std::function<void()> fn) { transport.post(std::move(fn)); },
+          node};
+}
+
+/// n replica transports plus client n. The replicas bind and get the
+/// n-entry replica table; the client does not bind. With `metrics` null,
+/// every process records into its own registry (registry(id)).
 struct Deployment {
   explicit Deployment(std::size_t n, Metrics* metrics = nullptr,
                       runtime::ClusterObserver observer = nullptr,
                       std::size_t reactors = 1, int listen_backlog = -1) {
-    abd::NodeOptions node_options;
-    node_options.quorums = std::make_shared<quorum::MajorityQuorum>(n);
-    node_options.write_mode = abd::WriteMode::kMultiWriter;
-    node_options.client.retransmit_interval = 50ms;
-    node_options.client.metrics = metrics;
     const ProcessId client_id = static_cast<ProcessId>(n);
     for (ProcessId id = 0; id <= client_id; ++id) {
+      Metrics* recorder = metrics;
+      if (recorder == nullptr) {
+        recorder = registries.emplace_back(std::make_unique<Metrics>()).get();
+      }
+      abd::NodeOptions node_options;
+      node_options.quorums = std::make_shared<quorum::MajorityQuorum>(n);
+      node_options.write_mode = abd::WriteMode::kMultiWriter;
+      node_options.client.retransmit_interval = 50ms;
+      node_options.client.metrics = recorder;
       TransportOptions options;
       options.self = id;
       options.world_size = n;
-      options.metrics = metrics;
+      options.metrics = recorder;
       options.reactors = reactors;
       options.listen_backlog = listen_backlog;
       if (id == client_id && observer) options.observer = std::move(observer);
@@ -228,10 +244,9 @@ struct Deployment {
       transports.push_back(
           std::make_unique<Transport>(std::move(options), std::move(node)));
     }
-    std::vector<Address> table;
-    for (auto& transport : transports) {
+    for (ProcessId id = 0; id < n; ++id) {
       Address address;
-      address.port = transport->bind(address);
+      address.port = transports[id]->bind(address);
       table.push_back(address);
     }
     for (auto& transport : transports) transport->start(table);
@@ -241,22 +256,24 @@ struct Deployment {
     for (auto& transport : transports) transport->stop();
   }
 
-  [[nodiscard]] SyncNode client() {
-    return SyncNode{*transports.back(), *nodes.back()};
+  [[nodiscard]] abd::SyncRegister client() {
+    return sync_register(*transports.back(), *nodes.back());
   }
+  [[nodiscard]] Metrics& registry(ProcessId id) { return *registries.at(id); }
 
+  std::vector<std::unique_ptr<Metrics>> registries;  ///< first: outlives the transports
+  std::vector<Address> table;
   std::vector<std::unique_ptr<Transport>> transports;
   std::vector<abd::Node*> nodes;
 };
 
-TEST(NetTransport, QuorumWorkloadIsLinearizable) {
-  Metrics metrics;
-  Deployment deployment{3, &metrics};
-  SyncNode client = deployment.client();
+/// Ten write-then-read pairs on object 0 by client 3, each read returning
+/// the value just written, and the history linearizable.
+void run_linearizable_workload(abd::SyncRegister& client, std::int64_t first_value) {
   checker::History history;
   for (int op = 0; op < 10; ++op) {
     Value value;
-    value.data = op + 1;
+    value.data = first_value + op;
     const auto w = client.write(0, value, 5s);
     ASSERT_TRUE(w.has_value()) << "write " << op << " stalled";
     history.add(checker::OpRecord{3, checker::OpType::kWrite, 0, value.data, w->invoked,
@@ -269,6 +286,13 @@ TEST(NetTransport, QuorumWorkloadIsLinearizable) {
   }
   EXPECT_TRUE(history.well_formed());
   EXPECT_TRUE(checker::check_linearizable(history).linearizable);
+}
+
+TEST(NetTransport, QuorumWorkloadIsLinearizable) {
+  Metrics metrics;
+  Deployment deployment{3, &metrics};
+  abd::SyncRegister client = deployment.client();
+  run_linearizable_workload(client, 1);
 
   // Net counters flowed into the shared PR-1 registry: the client connected
   // to 3 replicas and real frames crossed real sockets.
@@ -282,6 +306,29 @@ TEST(NetTransport, QuorumWorkloadIsLinearizable) {
   EXPECT_GT(metrics.counter("client.ops_completed"), 0u);
 }
 
+TEST(NetTransport, ClientThatNeverBindsIsServedOnItsOwnConnections) {
+  // One registry per process, so each count below is that process's own.
+  // The client never binds and has no table entry; the replicas' tables
+  // hold only the n replica addresses.
+  constexpr std::size_t kN = 3;
+  Deployment deployment{kN};
+  ASSERT_EQ(deployment.table.size(), kN);
+  abd::SyncRegister client = deployment.client();
+  run_linearizable_workload(client, 1);
+  for (auto& transport : deployment.transports) transport->stop();
+
+  // Replicas dial only the mesh; nobody dials the client back.
+  for (ProcessId id = 0; id < kN; ++id) {
+    EXPECT_EQ(deployment.registry(id).counter("net.connect_attempts"), kN - 1) << id;
+  }
+  Metrics& client_metrics = deployment.registry(kN);
+  EXPECT_EQ(client_metrics.counter("net.connect_attempts"), kN);
+  EXPECT_EQ(client_metrics.counter("net.accepts"), 0u);
+  EXPECT_GT(client_metrics.counter("net.frames_in"), 0u);
+  EXPECT_GT(client_metrics.counter("net.read_calls"), 0u);
+  EXPECT_EQ(client_metrics.counter("net.sends_dropped"), 0u);
+}
+
 TEST(NetTransport, MultiReactorDeploymentStaysLinearizable) {
   // Same workload, 4 reactors per transport. Every accepted connection is
   // owned by exactly one reactor (round-robin), satellite reactors decode
@@ -293,22 +340,8 @@ TEST(NetTransport, MultiReactorDeploymentStaysLinearizable) {
   for (const auto& transport : deployment.transports) {
     EXPECT_EQ(transport->reactor_count(), 4u);
   }
-  SyncNode client = deployment.client();
-  checker::History history;
-  for (int op = 0; op < 10; ++op) {
-    Value value;
-    value.data = 100 + op;
-    const auto w = client.write(0, value, 5s);
-    ASSERT_TRUE(w.has_value()) << "write " << op << " stalled";
-    history.add(checker::OpRecord{3, checker::OpType::kWrite, 0, value.data, w->invoked,
-                                  w->responded, true});
-    const auto r = client.read(0, 5s);
-    ASSERT_TRUE(r.has_value()) << "read " << op << " stalled";
-    EXPECT_EQ(r->value.data, value.data);
-    history.add(checker::OpRecord{3, checker::OpType::kRead, 0, r->value.data, r->invoked,
-                                  r->responded, true});
-  }
-  EXPECT_TRUE(checker::check_linearizable(history).linearizable);
+  abd::SyncRegister client = deployment.client();
+  run_linearizable_workload(client, 100);
 
   // Stop publishes reactor diagnostics: with 3+ inbound connections per
   // process round-robined over 4 reactors, satellites saw real fd events —
@@ -328,7 +361,7 @@ TEST(NetTransport, BacklogOptionAndCrashRecoveryAcrossReactors) {
   // work when peers live on reactors other than home.
   Metrics metrics;
   Deployment deployment{3, &metrics, nullptr, /*reactors=*/2, /*listen_backlog=*/8};
-  SyncNode client = deployment.client();
+  abd::SyncRegister client = deployment.client();
   Value value;
   value.data = 1;
   ASSERT_TRUE(client.write(0, value, 5s).has_value());
@@ -349,7 +382,9 @@ TEST(ClientSwarm, PipelinedReadsAgainstLiveGroupCompleteExactly) {
   // A small swarm (8 clients on 2 shards, window 2) against 3 live replica
   // transports: every dial establishes, the closed loop completes ops, and
   // the per-op message/round counts sit exactly on the E1 read formula —
-  // the same asserts bench_c1 makes at thousands of clients.
+  // the same asserts bench_c1 makes at thousands of clients. The swarm
+  // listens nowhere and the replicas know only each other: every reply
+  // rides the client's own connection.
   constexpr std::size_t kN = 3;
   constexpr std::size_t kClients = 8;
   Metrics metrics;
@@ -366,7 +401,6 @@ TEST(ClientSwarm, PipelinedReadsAgainstLiveGroupCompleteExactly) {
   swarm_options.node = node_options;
   swarm_options.metrics = &metrics;
   ClientSwarm swarm{swarm_options};
-  const std::vector<Address> client_entries = swarm.bind();
 
   std::vector<std::unique_ptr<Transport>> replicas;
   std::vector<Address> table;
@@ -382,7 +416,6 @@ TEST(ClientSwarm, PipelinedReadsAgainstLiveGroupCompleteExactly) {
     address.port = replicas.back()->bind(address);
     table.push_back(address);
   }
-  table.insert(table.end(), client_entries.begin(), client_entries.end());
   for (auto& replica : replicas) replica->start(table);
 
   ASSERT_TRUE(swarm.start(table)) << "swarm dials did not all establish";
@@ -407,7 +440,7 @@ TEST(ClientSwarm, PipelinedReadsAgainstLiveGroupCompleteExactly) {
 TEST(NetTransport, SurvivesReplicaCrash) {
   Metrics metrics;
   Deployment deployment{3, &metrics};
-  SyncNode client = deployment.client();
+  abd::SyncRegister client = deployment.client();
   Value value;
   value.data = 1;
   ASSERT_TRUE(client.write(0, value, 5s).has_value());
@@ -431,7 +464,7 @@ TEST(NetTransport, ObserverSeesClusterStyleEvents) {
   {
     Metrics metrics;
     Deployment deployment{3, &metrics, recorder.observer()};
-    SyncNode client = deployment.client();
+    abd::SyncRegister client = deployment.client();
     Value value;
     value.data = 5;
     ASSERT_TRUE(client.write(0, value, 5s).has_value());
@@ -445,7 +478,7 @@ TEST(NetTransport, ObserverSeesClusterStyleEvents) {
 TEST(NetTransport, FaultPlanPartitionIsSurvivableAndCounted) {
   Metrics metrics;
   Deployment deployment{3, &metrics};
-  SyncNode client = deployment.client();
+  abd::SyncRegister client = deployment.client();
   Value value;
   value.data = 1;
   ASSERT_TRUE(client.write(0, value, 5s).has_value());
@@ -481,7 +514,7 @@ TEST(NetTransport, FaultPlanPartitionIsSurvivableAndCounted) {
 TEST(NetTransport, FaultPlanRandomDropsAreSurvivable) {
   Metrics metrics;
   Deployment deployment{3, &metrics};
-  SyncNode client = deployment.client();
+  abd::SyncRegister client = deployment.client();
   FaultPlan lossy;
   lossy.drop_probability = 0.25;
   lossy.seed = 42;
@@ -507,6 +540,124 @@ TEST(NetTransport, PostRunsOnTheLoopThread) {
   auto future = ran.get_future();
   ASSERT_EQ(future.wait_for(2s), std::future_status::ready);
   EXPECT_NE(future.get(), std::this_thread::get_id());
+}
+
+// ---- Reply routes ------------------------------------------------------------
+//
+// An echo replica (id 0 of a one-replica world) and client-only processes
+// with id 1, which neither bind nor have a table entry: every frame the
+// replica sends to 1 must ride a connection that client opened.
+
+/// Counts what it receives and, as the replica, echoes each frame back.
+/// The test sends on its Context from the loop thread (on_loop).
+struct Echo final : Actor {
+  explicit Echo(bool replies) : echo{replies} {}
+  void on_start(Context& ctx) override { context = &ctx; }
+  void on_message(Context& ctx, ProcessId from, const Payload&) override {
+    received.fetch_add(1);
+    if (echo) ctx.send(from, ping());
+  }
+  static PayloadPtr ping() {
+    return make_payload<abd::Update>(1, 0, abd::Tag{1, 0}, Value{});
+  }
+
+  bool echo;
+  Context* context{nullptr};
+  std::atomic<int> received{0};
+};
+
+/// Run `fn` on `transport`'s loop thread and wait for it.
+void on_loop(Transport& transport, const std::function<void()>& fn) {
+  std::promise<void> done;
+  transport.post([&] {
+    fn();
+    done.set_value();
+  });
+  ASSERT_EQ(done.get_future().wait_for(5s), std::future_status::ready);
+}
+
+/// Polls `condition` for up to 5 s.
+bool eventually(const std::function<bool()>& condition) {
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!condition()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(2ms);
+  }
+  return true;
+}
+
+struct EchoProcess {
+  /// The replica (id 0, bound, echoing) when `table` is empty, else a
+  /// client (id 1) that starts without binding.
+  explicit EchoProcess(std::vector<Address> table) {
+    const bool replica = table.empty();
+    TransportOptions options;
+    options.self = replica ? 0 : 1;
+    options.world_size = 1;
+    options.metrics = &metrics;
+    auto echo = std::make_unique<Echo>(replica);
+    actor = echo.get();
+    transport = std::make_unique<Transport>(std::move(options), std::move(echo));
+    if (replica) table.push_back(Address{"127.0.0.1", transport->bind(Address{})});
+    transport->start(table);
+  }
+
+  void send_ping(ProcessId to) {
+    on_loop(*transport, [this, to] { actor->context->send(to, Echo::ping()); });
+  }
+  [[nodiscard]] std::vector<Address> table() const {
+    return {Address{"127.0.0.1", transport->port()}};
+  }
+
+  Metrics metrics;  ///< first: outlives the transport
+  Echo* actor{nullptr};
+  std::unique_ptr<Transport> transport;
+};
+
+TEST(NetTransport, RestartedClientTakesOverItsRouteAndADepartedOneIsDropped) {
+  EchoProcess replica{{}};
+  EchoProcess old_client{replica.table()};
+  old_client.send_ping(0);
+  ASSERT_TRUE(eventually([&] { return old_client.actor->received == 1; }));
+
+  // The client restarts under the same id while its old connection is
+  // still open: the newest connection to deliver a frame owns the route.
+  EchoProcess new_client{replica.table()};
+  new_client.send_ping(0);
+  ASSERT_TRUE(eventually([&] { return new_client.actor->received == 1; }));
+
+  // The old connection's close must not unbind the new route.
+  old_client.transport->stop();
+  ASSERT_TRUE(eventually([&] { return replica.metrics.counter("net.disconnects") == 1; }));
+  replica.send_ping(1);
+  EXPECT_TRUE(eventually([&] { return new_client.actor->received == 2; }));
+  EXPECT_EQ(old_client.actor->received, 1);
+  EXPECT_EQ(replica.metrics.counter("net.sends_dropped"), 0u);
+
+  // Once the client is gone, a frame for it has no live route: dropped and
+  // counted (the client would retransmit).
+  new_client.transport->stop();
+  ASSERT_TRUE(eventually([&] { return replica.metrics.counter("net.disconnects") == 2; }));
+  replica.send_ping(1);
+  EXPECT_EQ(replica.metrics.counter("net.sends_dropped"), 1u);
+  EXPECT_EQ(replica.metrics.counter("net.accepts"), 2u);
+}
+
+TEST(NetTransport, FaultPlanBlocksAClientIdWithNoTableEntry) {
+  EchoProcess replica{{}};
+  FaultPlan plan;
+  plan.blocked = {1};
+  replica.transport->set_faults(plan);
+  on_loop(*replica.transport, [] {});  // the plan is installed (posts are FIFO)
+
+  EchoProcess client{replica.table()};
+  client.send_ping(0);
+  ASSERT_TRUE(eventually([&] { return replica.actor->received == 1; }));
+  // The echo to client 1, which the 1-entry table does not list, is eaten.
+  EXPECT_TRUE(eventually([&] { return replica.metrics.counter("net.faults_dropped") == 1; }));
+  EXPECT_EQ(replica.metrics.counter("net.sends_dropped"), 0u);
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(client.actor->received, 0);
 }
 
 // ---- SendQueue ---------------------------------------------------------------
@@ -700,7 +851,7 @@ TEST(NetTransport, CoalescingCountersAccountSyscallSharing) {
   Metrics metrics;
   {
     Deployment deployment{3, &metrics};
-    SyncNode client = deployment.client();
+    abd::SyncRegister client = deployment.client();
     for (int op = 0; op < 20; ++op) {
       Value value;
       value.data = op;

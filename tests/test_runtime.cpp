@@ -12,17 +12,26 @@
 
 #include "abdkit/abd/anti_entropy.hpp"
 #include "abdkit/abd/node.hpp"
+#include "abdkit/abd/sync_register.hpp"
 #include "abdkit/checker/history.hpp"
 #include "abdkit/checker/linearizability.hpp"
 #include "abdkit/kv/kv_node.hpp"
 #include "abdkit/kv/sync_kv.hpp"
 #include "abdkit/runtime/cluster.hpp"
-#include "abdkit/runtime/sync_register.hpp"
 
 namespace abdkit::runtime {
 namespace {
 
 using namespace std::chrono_literals;
+
+/// The blocking facade over the node `cluster` hosts at `host`.
+abd::SyncRegister sync_register(Cluster& cluster, ProcessId host,
+                                abd::RegisterNode& node) {
+  return {[&cluster, host](std::function<void()> fn) {
+            cluster.post(host, std::move(fn));
+          },
+          node};
+}
 
 constexpr Duration kOpTimeout = 5s;
 
@@ -51,8 +60,8 @@ struct AbdCluster {
 
 TEST(Cluster, WriteThenReadAcrossProcesses) {
   AbdCluster c{3, abd::WriteMode::kSingleWriter};
-  SyncRegister writer{*c.cluster, 0, *c.nodes[0]};
-  SyncRegister reader{*c.cluster, 2, *c.nodes[2]};
+  abd::SyncRegister writer = sync_register(*c.cluster, 0, *c.nodes[0]);
+  abd::SyncRegister reader = sync_register(*c.cluster, 2, *c.nodes[2]);
 
   const auto write_result = writer.write(0, Value{.data = 55}, kOpTimeout);
   ASSERT_TRUE(write_result.has_value());
@@ -63,8 +72,8 @@ TEST(Cluster, WriteThenReadAcrossProcesses) {
 
 TEST(Cluster, InjectedDelaysStillComplete) {
   AbdCluster c{5, abd::WriteMode::kSingleWriter, /*max_delay=*/3ms};
-  SyncRegister writer{*c.cluster, 0, *c.nodes[0]};
-  SyncRegister reader{*c.cluster, 4, *c.nodes[4]};
+  abd::SyncRegister writer = sync_register(*c.cluster, 0, *c.nodes[0]);
+  abd::SyncRegister reader = sync_register(*c.cluster, 4, *c.nodes[4]);
   ASSERT_TRUE(writer.write(0, Value{.data = 7}, kOpTimeout).has_value());
   const auto read_result = reader.read(0, kOpTimeout);
   ASSERT_TRUE(read_result.has_value());
@@ -75,8 +84,8 @@ TEST(Cluster, MinorityCrashTolerated) {
   AbdCluster c{5, abd::WriteMode::kSingleWriter};
   c.cluster->crash(3);
   c.cluster->crash(4);
-  SyncRegister writer{*c.cluster, 0, *c.nodes[0]};
-  SyncRegister reader{*c.cluster, 1, *c.nodes[1]};
+  abd::SyncRegister writer = sync_register(*c.cluster, 0, *c.nodes[0]);
+  abd::SyncRegister reader = sync_register(*c.cluster, 1, *c.nodes[1]);
   ASSERT_TRUE(writer.write(0, Value{.data = 1}, kOpTimeout).has_value());
   const auto read_result = reader.read(0, kOpTimeout);
   ASSERT_TRUE(read_result.has_value());
@@ -87,7 +96,7 @@ TEST(Cluster, MajorityCrashTimesOut) {
   AbdCluster c{3, abd::WriteMode::kSingleWriter};
   c.cluster->crash(1);
   c.cluster->crash(2);
-  SyncRegister writer{*c.cluster, 0, *c.nodes[0]};
+  abd::SyncRegister writer = sync_register(*c.cluster, 0, *c.nodes[0]);
   EXPECT_FALSE(writer.write(0, Value{.data = 1}, 200ms).has_value());
 }
 
@@ -99,7 +108,7 @@ TEST(Cluster, ConcurrentClientsStayLinearizable) {
   std::atomic<std::int64_t> next_value{0};
 
   const auto client = [&](ProcessId host, int ops, bool writes) {
-    SyncRegister reg{*c.cluster, host, *c.nodes[host]};
+    abd::SyncRegister reg = sync_register(*c.cluster, host, *c.nodes[host]);
     Rng rng{host * 1000 + 1};
     for (int i = 0; i < ops; ++i) {
       const TimePoint invoked = c.cluster->now();
@@ -280,7 +289,7 @@ TEST(Cluster, GossipingNodesRepairOnRealThreads) {
                   }};
   cluster.start();
 
-  SyncRegister writer{cluster, 0, *nodes[0]};
+  abd::SyncRegister writer = sync_register(cluster, 0, *nodes[0]);
   ASSERT_TRUE(writer.write(0, Value{.data = 31}, kOpTimeout).has_value());
   // Give gossip a few intervals; every replica should converge even though
   // the write only waited for a majority.

@@ -105,6 +105,27 @@ TEST(TimerWheel, PastDueAddFiresOnNextAdvance) {
   EXPECT_TRUE(fired);
 }
 
+TEST(TimerWheel, TimersArmedBeforeTheFirstAdvanceFireOnTime) {
+  // A reactor drains its first posts before its first advance(), and the
+  // transport clock counts from construction, so a timer can be armed
+  // before the wheel has seen any time. Whatever the clock read then, the
+  // timer fires within one tick of its deadline under 1 ms advances.
+  for (const Duration offset : {Duration{milliseconds{10}}, Duration{milliseconds{300}},
+                                Duration{seconds{70}}}) {
+    TimerWheel wheel;
+    const TimePoint due{offset + milliseconds{25}};
+    TimePoint clock{offset};
+    TimePoint fired_at = TimePoint::max();
+    wheel.add(due, [&] { fired_at = clock; });
+    for (; fired_at == TimePoint::max() && clock < due + seconds{1};
+         clock += milliseconds{1}) {
+      wheel.advance(clock);
+    }
+    EXPECT_GE(fired_at, due) << "armed at " << offset.count() << " ns";
+    EXPECT_LE(fired_at, due + milliseconds{1}) << "armed at " << offset.count() << " ns";
+  }
+}
+
 TEST(TimerWheel, FarFutureTimersCascadeAndFireOnce) {
   TimerWheel wheel;
   wheel.advance(at(0));
